@@ -521,6 +521,8 @@ struct ShardScalingRow {
   double makespan_ms = 0;   // simulated; max completion incl. final flush
   double sim_write_mbps = 0;
   double speedup = 0;  // vs. the shards=1 row
+  double wall_req_per_s = 0;  // host: modeled replay through the fabric
+  double wall_s = 0;          // how long that replay ran
 };
 
 struct ShardScalingResult {
@@ -528,6 +530,7 @@ struct ShardScalingResult {
   u64 write_bytes = 0;
   double direct_sim_mbps = 0;  // plain Stack, no sharded fabric
   std::vector<ShardScalingRow> rows;
+  std::string error;  // set when a call failed; rows are then dropped
 };
 
 // Aggregate write throughput of the sharded engine on a closed-loop
@@ -540,7 +543,15 @@ struct ShardScalingResult {
 // real cores, but the simulated devices genuinely run in parallel.
 // The direct row replays the same ops against a plain Stack engine; the
 // shards=1 row must stay within a few percent of it (the fabric tax).
+//
+// The wall-clock column is host throughput through the fabric: the same
+// ops replayed in modeled mode (no codec runs, so the handoff is a large
+// share of the cost), repeated until at least kMinWallSeconds have
+// passed, req/s = requests submitted / wall time including Drain. The
+// modeled engines' work follows the cost model, which is calibrated from
+// wall clock at start-up, so compare rows of one run only.
 ShardScalingResult BenchShardScaling(u64 seed) {
+  constexpr double kMinWallSeconds = 0.5;
   ShardScalingResult out;
   const u64 n_ops = 4000;
   const Lba lba_space = 8192;  // 32 MiB working set, ~2 overwrite laps
@@ -579,58 +590,97 @@ ShardScalingResult BenchShardScaling(u64 seed) {
                                 static_cast<double>(kSecond));
   };
 
+  auto fail = [&out](const char* what, const Status& st) {
+    out.error = std::string(what) + ": " + st.ToString();
+    out.rows.clear();
+    std::fprintf(stderr, "shard bench: %s\n", out.error.c_str());
+    return out;
+  };
+
   // Direct baseline: the same ops straight into a plain Stack engine.
   {
     auto stack = core::Stack::Create(cfg);
-    if (!stack.ok()) {
-      std::fprintf(stderr, "shard bench: %s\n",
-                   stack.status().ToString().c_str());
-      return out;
-    }
+    if (!stack.ok()) return fail("create direct", stack.status());
     SimTime makespan = 0;
     for (const WriteOp& op : ops) {
       auto done = (**stack).engine().Write(
           0, op.first * kLogicalBlockSize,
           op.n_blocks * static_cast<u32>(kLogicalBlockSize));
-      if (done.ok()) makespan = std::max(makespan, *done);
+      if (!done.ok()) return fail("direct write", done.status());
+      makespan = std::max(makespan, *done);
     }
     auto flushed = (**stack).engine().FlushPending(makespan);
-    if (flushed.ok()) makespan = std::max(makespan, *flushed);
-    out.direct_sim_mbps = mbps_of(makespan);
+    if (!flushed.ok()) return fail("direct flush", flushed.status());
+    out.direct_sim_mbps = mbps_of(std::max(makespan, *flushed));
   }
+
+  auto request_of = [](const WriteOp& op, SimTime arrival) {
+    shard::Request req;
+    req.kind = shard::OpKind::kWrite;
+    req.arrival = arrival;
+    req.offset = op.first * kLogicalBlockSize;
+    req.size = op.n_blocks * static_cast<u32>(kLogicalBlockSize);
+    return req;
+  };
+  core::StackConfig modeled = cfg;
+  modeled.mode = core::ExecutionMode::kModeled;
 
   for (u32 shards : {1u, 2u, 4u, 8u}) {
     shard::ShardedOptions so;
     so.shards = shards;
     auto se = shard::ShardedEngine::Create(so, cfg);
-    if (!se.ok()) {
-      std::fprintf(stderr, "shard bench: %s\n",
-                   se.status().ToString().c_str());
-      return out;
-    }
+    if (!se.ok()) return fail("create", se.status());
     SimTime makespan = 0;
+    u64 failed = 0;
     (**se).SetCompletionCallback([&](const shard::Completion& c) {
-      if (c.status.ok()) makespan = std::max(makespan, c.completion);
+      if (!c.status.ok()) ++failed;
+      makespan = std::max(makespan, c.completion);
     });
-    if (!(**se).StartRunLoops().ok()) return out;
-    for (const WriteOp& op : ops) {
-      shard::Request req;
-      req.kind = shard::OpKind::kWrite;
-      req.arrival = 0;
-      req.offset = op.first * kLogicalBlockSize;
-      req.size = op.n_blocks * static_cast<u32>(kLogicalBlockSize);
-      (void)(**se).Submit(req);
+    Status st = (**se).StartRunLoops();
+    for (std::size_t i = 0; st.ok() && i < ops.size(); ++i) {
+      auto seq = (**se).Submit(request_of(ops[i], 0));
+      if (!seq.ok()) st = seq.status();
     }
-    (void)(**se).Drain();
-    (void)(**se).StopRunLoops();
+    if (st.ok()) st = (**se).Drain();
+    if (st.ok()) st = (**se).StopRunLoops();
+    if (st.ok() && failed != 0) {
+      st = Status::Internal(std::to_string(failed) + " requests failed");
+    }
+    if (!st.ok()) return fail("functional replay", st);
     auto flushed = (**se).FlushAllPending(makespan);
-    if (flushed.ok()) makespan = std::max(makespan, *flushed);
+    if (!flushed.ok()) return fail("flush", flushed.status());
+    makespan = std::max(makespan, *flushed);
 
     ShardScalingRow row;
     row.shards = shards;
     row.makespan_ms =
         static_cast<double>(makespan) / static_cast<double>(kMillisecond);
     row.sim_write_mbps = mbps_of(makespan);
+
+    auto wall = shard::ShardedEngine::Create(so, modeled);
+    if (!wall.ok()) return fail("create modeled", wall.status());
+    failed = 0;
+    (**wall).SetCompletionCallback([&failed](const shard::Completion& c) {
+      if (!c.status.ok()) ++failed;
+    });
+    st = (**wall).StartRunLoops();
+    u64 submitted = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    while (st.ok() && (submitted == 0 || Seconds(t0) < kMinWallSeconds)) {
+      for (std::size_t i = 0; st.ok() && i < ops.size(); ++i, ++submitted) {
+        auto seq = (**wall).Submit(request_of(
+            ops[i], static_cast<SimTime>(submitted) * 50 * kMicrosecond));
+        if (!seq.ok()) st = seq.status();
+      }
+    }
+    if (st.ok()) st = (**wall).Drain();
+    row.wall_s = Seconds(t0);
+    if (st.ok()) st = (**wall).StopRunLoops();
+    if (st.ok() && failed != 0) {
+      st = Status::Internal(std::to_string(failed) + " requests failed");
+    }
+    if (!st.ok()) return fail("modeled replay", st);
+    row.wall_req_per_s = static_cast<double>(submitted) / row.wall_s;
     out.rows.push_back(row);
   }
   const double base = out.rows.empty() ? 0 : out.rows[0].sim_write_mbps;
@@ -720,13 +770,18 @@ void WriteJson(const std::string& path, const MappingResult& m,
                static_cast<unsigned long long>(sharding.write_bytes));
   std::fprintf(f, "    \"direct_sim_write_mbps\": %.1f,\n",
                sharding.direct_sim_mbps);
+  if (!sharding.error.empty()) {
+    std::fprintf(f, "    \"error\": \"%s\",\n", sharding.error.c_str());
+  }
   std::fprintf(f, "    \"rows\": [\n");
   for (std::size_t i = 0; i < sharding.rows.size(); ++i) {
     const ShardScalingRow& r = sharding.rows[i];
     std::fprintf(f,
                  "      {\"shards\": %u, \"sim_makespan_ms\": %.2f, "
-                 "\"sim_write_mbps\": %.1f, \"speedup\": %.2f}%s\n",
+                 "\"sim_write_mbps\": %.1f, \"speedup\": %.2f, "
+                 "\"wall_modeled_req_per_s\": %.0f, \"wall_s\": %.2f}%s\n",
                  r.shards, r.makespan_ms, r.sim_write_mbps, r.speedup,
+                 r.wall_req_per_s, r.wall_s,
                  i + 1 < sharding.rows.size() ? "," : "");
   }
   std::fprintf(f, "    ]\n  }\n}\n");
@@ -827,17 +882,22 @@ int main(int argc, char** argv) {
               obs.requests, obs_table.ToString().c_str());
 
   ShardScalingResult sharding = BenchShardScaling(opt.seed);
-  TextTable shard_table({"shards", "sim makespan ms", "sim MB/s", "speedup"});
+  TextTable shard_table({"shards", "sim makespan ms", "sim MB/s", "speedup",
+                         "wall req/s (modeled)"});
   for (const ShardScalingRow& r : sharding.rows) {
     shard_table.AddRow({TextTable::Num(r.shards, 0),
                         TextTable::Num(r.makespan_ms, 2),
                         TextTable::Num(r.sim_write_mbps, 1),
-                        TextTable::Num(r.speedup, 2)});
+                        TextTable::Num(r.speedup, 2),
+                        TextTable::Num(r.wall_req_per_s, 0)});
   }
   std::printf("\nShard scaling (fill_random, closed loop, %llu writes, "
               "direct baseline %.1f sim MB/s)\n%s",
               static_cast<unsigned long long>(sharding.requests),
               sharding.direct_sim_mbps, shard_table.ToString().c_str());
+  if (!sharding.error.empty()) {
+    std::printf("shard scaling aborted: %s\n", sharding.error.c_str());
+  }
 
   if (!opt.json_path.empty()) {
     WriteJson(opt.json_path, m, crc, codecs, backends, obs, sharding);

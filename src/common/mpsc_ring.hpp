@@ -1,22 +1,22 @@
 // MpscRing — bounded lock-free multi-producer/single-consumer ring.
 //
-// The submission fabric of the sharded engine (edc/shard.hpp): the
-// dispatcher pushes sub-requests into one ring per shard, and every shard
-// run-loop pushes completion records into one shared ring the dispatcher
-// drains. Both directions need a queue that
+// The fabric of the sharded engine (edc/shard.hpp): the dispatcher pushes
+// sub-requests into one ring per shard, and each shard run loop pushes
+// completion records into a ring of its own that the dispatcher drains.
+// Both directions need a queue that
 //   * never allocates after construction (slots live in one flat array,
 //     so the steady-state hot path is EDC_HOT/no-alloc lintable),
 //   * is bounded, so backpressure is an explicit TryPush failure instead
 //     of unbounded memory growth, and
 //   * pops in claim order — each producer's pushes come out FIFO, which
-//     is what per-shard ordering relies on (cross-producer interleaving
-//     is reordered downstream by sequence number).
+//     is what per-shard ordering relies on.
 //
 // The algorithm is the classic bounded MPMC ticket queue (Vyukov): every
 // slot carries a sequence stamp; producers claim a ticket with one CAS on
 // the tail and own the slot until they bump its stamp, consumers mirror
-// the same dance on the head. Used here in MPSC configuration (a single
-// consumer), but nothing in the algorithm depends on that restriction.
+// the same dance on the head. The sharded engine gives every ring one
+// producer and one consumer; the ring itself allows many producers
+// (cross-producer interleaving is then claim order).
 //
 // T must be default-constructible and movable. Push/pop transfer T by
 // move; the ring itself performs no allocation in TryPush/TryPop (moving
@@ -61,6 +61,19 @@ class MpscRing {
     return tail >= head ? static_cast<std::size_t>(tail - head) : 0;
   }
 
+  /// Consumer-side probe for park/wake handshakes: true when no producer
+  /// has claimed a ticket the consumer has not popped yet. A claimed slot
+  /// may still be unpublished, so "not empty" here can precede a failing
+  /// TryPop by a few instructions. The tail load is seq_cst and TryPush
+  /// claims its ticket with a seq_cst CAS, so a consumer that stores a
+  /// "parked" flag (seq_cst) and then finds the ring empty here is
+  /// guaranteed that every producer whose claim it missed reads that flag
+  /// (seq_cst) afterwards — the Dekker pattern, with no standalone fence.
+  bool EmptyForConsumer() const {
+    return tail_.load(std::memory_order_seq_cst) ==
+           head_.load(std::memory_order_relaxed);
+  }
+
   /// Multi-producer push; returns false when the ring is full. Never
   /// allocates and never blocks (one bounded CAS loop against rival
   /// producers).
@@ -71,8 +84,12 @@ class MpscRing {
       u64 stamp = slot.stamp.load(std::memory_order_acquire);
       i64 delta = static_cast<i64>(stamp) - static_cast<i64>(ticket);
       if (delta == 0) {
-        // Slot is free for this ticket; claim the ticket.
+        // Slot is free for this ticket; claim the ticket. seq_cst orders
+        // the claim before the caller's later seq_cst check of a parked
+        // consumer (see EmptyForConsumer); on x86 it is the same locked
+        // instruction as a relaxed CAS.
         if (tail_.compare_exchange_weak(ticket, ticket + 1,
+                                        std::memory_order_seq_cst,
                                         std::memory_order_relaxed)) {
           slot.value = std::move(value);
           slot.stamp.store(ticket + 1, std::memory_order_release);

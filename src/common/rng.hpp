@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cmath>
+#include <vector>
 
 #include "common/hash.hpp"
 #include "common/types.hpp"
@@ -92,6 +93,7 @@ class Pcg32 {
 
   /// Geometric-ish integer Zipf sampler over [0, n) with exponent s,
   /// via inverse-CDF on a precomputed-free approximation (rejection).
+  /// Callers drawing many values for one (n, s) use ZipfSampler.
   u32 NextZipf(u32 n, double s);
 
   /// Derive an independent generator for a sub-stream (e.g. per-LBA
@@ -103,6 +105,37 @@ class Pcg32 {
  private:
   u64 state_;
   u64 inc_;
+};
+
+/// The NextZipf draw for a fixed (n, s), with the per-(n, s) constants
+/// computed once and, for n <= kMaxTable, each rank's acceptance terms
+/// tabulated, so a draw costs one inversion instead of about ten log/exp
+/// calls. Results and generator consumption are bit-identical to
+/// NextZipf(n, s).
+class ZipfSampler {
+ public:
+  static constexpr u32 kMaxTable = 1u << 16;
+
+  ZipfSampler(u32 n, double s, bool tabulate = true);
+
+  u32 Sample(Pcg32& rng) const;
+
+ private:
+  double HIntegral(double x) const;
+  double HIntegralInv(double x) const;
+  /// Probability mass of rank k under the hat, and its Zipf weight.
+  double HatMass(double k) const {
+    return HIntegral(k + 0.5) - HIntegral(k - 0.5);
+  }
+  double Weight(double k) const { return std::exp(-s_ * std::log(k)); }
+
+  u32 n_ = 0;
+  double s_ = 0.0;
+  double one_minus_s_ = 1.0;
+  double hx0_ = 0.0;
+  double hn_ = 0.0;
+  std::vector<double> hat_mass_;  // rank k at [k - 1], when tabulated
+  std::vector<double> weight_;
 };
 
 }  // namespace edc

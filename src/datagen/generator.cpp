@@ -9,12 +9,13 @@ namespace {
 // deterministic vocabulary per generator seed.
 constexpr char kAlphabet[] = "etaonrishdlfcmugypwbvkxjqz_";
 
-std::string MakeWord(Pcg32& rng) {
-  std::size_t len = 2 + rng.NextZipf(10, 0.8);
+std::string MakeWord(Pcg32& rng, const ZipfSampler& length_zipf,
+                     const ZipfSampler& letter_zipf) {
+  std::size_t len = 2 + length_zipf.Sample(rng);
   std::string w;
   w.reserve(len);
   for (std::size_t i = 0; i < len; ++i) {
-    w.push_back(kAlphabet[rng.NextZipf(sizeof(kAlphabet) - 1, 0.7)]);
+    w.push_back(kAlphabet[letter_zipf.Sample(rng)]);
   }
   return w;
 }
@@ -22,11 +23,16 @@ std::string MakeWord(Pcg32& rng) {
 }  // namespace
 
 ContentGenerator::ContentGenerator(ContentProfile profile, u64 seed)
-    : profile_(std::move(profile)), seed_(seed) {
+    : profile_(std::move(profile)),
+      seed_(seed),
+      word_zipf_(profile_.text_vocabulary, profile_.text_zipf),
+      dup_zipf_(profile_.dup_universe, 0.9) {
   Pcg32 rng = Pcg32::Derive(seed_, 0xB0CAB'0000ull);
+  const ZipfSampler length_zipf(10, 0.8);
+  const ZipfSampler letter_zipf(sizeof(kAlphabet) - 1, 0.7);
   vocabulary_.reserve(profile_.text_vocabulary);
   for (u32 i = 0; i < profile_.text_vocabulary; ++i) {
-    vocabulary_.push_back(MakeWord(rng));
+    vocabulary_.push_back(MakeWord(rng, length_zipf, letter_zipf));
   }
 }
 
@@ -51,7 +57,7 @@ Bytes ContentGenerator::Generate(Lba lba, u64 version,
   if (profile_.dup_fraction > 0) {
     Pcg32 dup_rng = Pcg32::Derive(seed_ ^ 0xDED0Dull, lba * 131 + version);
     if (dup_rng.NextBool(profile_.dup_fraction)) {
-      u32 dup_id = dup_rng.NextZipf(profile_.dup_universe, 0.9);
+      u32 dup_id = dup_zipf_.Sample(dup_rng);
       Pcg32 rng = Pcg32::Derive(seed_ ^ 0xDED1Dull, dup_id);
       // Pool entries keep realistic kind mixtures too.
       ChunkKind kind = KindForLba(static_cast<Lba>(dup_id) + 7919);
@@ -114,9 +120,7 @@ Bytes ContentGenerator::GenerateText(Pcg32& rng, std::size_t size) const {
   out.reserve(size + 16);
   std::size_t line_len = 0;
   while (out.size() < size) {
-    const std::string& w =
-        vocabulary_[rng.NextZipf(static_cast<u32>(vocabulary_.size()),
-                                 profile_.text_zipf)];
+    const std::string& w = vocabulary_[word_zipf_.Sample(rng)];
     out.insert(out.end(), w.begin(), w.end());
     line_len += w.size() + 1;
     if (line_len > 60 && rng.NextBool(0.4)) {

@@ -42,6 +42,8 @@ class ContentGenerator {
   ContentProfile profile_;
   u64 seed_;
   std::vector<std::string> vocabulary_;  // derived deterministically
+  ZipfSampler word_zipf_;  // vocabulary rank per text word
+  ZipfSampler dup_zipf_;   // dedup pool entry per duplicate block
 };
 
 /// Shannon entropy of the byte distribution in bits/byte (0..8). A cheap

@@ -8,7 +8,6 @@
 // deterministic with QoS enabled.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "common/check.hpp"
@@ -79,7 +78,10 @@ class TokenBucket {
 /// engine enqueues indices into its pending-request table).
 //
 /// Ties on virtual finish time break by (tenant id, FIFO order), so the
-/// dequeue sequence is a pure function of the enqueue sequence.
+/// dequeue sequence is a pure function of the enqueue sequence. Each
+/// tenant FIFO is a ring that only grows, so a steady push/pop cycle
+/// allocates nothing (a std::deque frees and reallocates a node every
+/// few dozen entries).
 class WfqScheduler {
  public:
   /// `weights[t]` is tenant t's share (>= 1); missing entries default 1.
@@ -95,7 +97,7 @@ class WfqScheduler {
   bool empty() const { return pending_ == 0; }
   std::size_t pending() const { return pending_; }
   std::size_t pending_for(u32 tenant) const {
-    return queues_[tenant].size();
+    return queues_[tenant].size;
   }
 
   /// Enqueue one item with service cost `cost` (e.g. 4 KiB block count).
@@ -107,7 +109,7 @@ class WfqScheduler {
     u64 start = finish_[tenant] > vclock_ ? finish_[tenant] : vclock_;
     u64 finish = start + cost * kCostScale / weights_[tenant];
     finish_[tenant] = finish;
-    queues_[tenant].push_back(Entry{item, finish});
+    queues_[tenant].Push(Entry{item, finish});
     ++pending_;
   }
 
@@ -119,7 +121,7 @@ class WfqScheduler {
     u64 best_finish = ~static_cast<u64>(0);
     bool found = false;
     for (u32 t = 0; t < queues_.size(); ++t) {
-      if (queues_[t].empty()) continue;
+      if (queues_[t].size == 0) continue;
       if (!found || queues_[t].front().finish < best_finish) {
         found = true;
         best_tenant = t;
@@ -127,8 +129,7 @@ class WfqScheduler {
       }
     }
     EDC_DCHECK(found);
-    Entry e = queues_[best_tenant].front();
-    queues_[best_tenant].pop_front();
+    Entry e = queues_[best_tenant].PopFront();
     --pending_;
     if (e.finish > vclock_) vclock_ = e.finish;
     *tenant_out = best_tenant;
@@ -146,7 +147,36 @@ class WfqScheduler {
     u64 finish;  // virtual finish time
   };
 
-  std::vector<std::deque<Entry>> queues_;
+  /// FIFO ring over a power-of-two slot vector; doubles when full.
+  struct Fifo {
+    std::vector<Entry> slots;
+    std::size_t head = 0;
+    std::size_t size = 0;
+
+    const Entry& front() const { return slots[head]; }
+
+    void Push(const Entry& e) {
+      if (size == slots.size()) {
+        std::vector<Entry> grown(slots.empty() ? 4 : 2 * slots.size());
+        for (std::size_t i = 0; i < size; ++i) {
+          grown[i] = slots[(head + i) & (slots.size() - 1)];
+        }
+        slots.swap(grown);
+        head = 0;
+      }
+      slots[(head + size) & (slots.size() - 1)] = e;
+      ++size;
+    }
+
+    Entry PopFront() {
+      Entry e = slots[head];
+      head = (head + 1) & (slots.size() - 1);
+      --size;
+      return e;
+    }
+  };
+
+  std::vector<Fifo> queues_;
   std::vector<u64> finish_;   // per-tenant last virtual finish
   std::vector<u32> weights_;
   u64 vclock_ = 0;            // global virtual time

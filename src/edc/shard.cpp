@@ -6,6 +6,23 @@
 #include "obs/metrics.hpp"
 
 namespace edc::shard {
+namespace {
+
+/// Pause iterations a consumer polls an empty ring before it parks. About
+/// 20 us at ~18 ns per x86 `pause` (a few us on CPUs with a short pause):
+/// long enough to bridge the gap between requests of a busy replay, short
+/// enough that idle run loops beyond the core count park quickly.
+constexpr u32 kSpinBudget = 1024;
+
+inline void CpuRelax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+}  // namespace
 
 void ShardRouter::Split(u64 offset, u32 size,
                         std::vector<Part>* out) const {
@@ -42,6 +59,10 @@ ShardedEngine::ShardedEngine(const ShardedOptions& options, u32 shards)
   if (options_.window < 1) options_.window = 1;
   if (options_.max_batch < 1) options_.max_batch = 1;
   if (options_.ring_capacity < 2) options_.ring_capacity = 2;
+  std::size_t slots = 1;
+  while (slots < options_.window) slots <<= 1;
+  inflight_.resize(slots);
+  inflight_mask_ = slots - 1;
   buckets_.reserve(options_.tenants);
   for (u32 t = 0; t < options_.tenants; ++t) {
     buckets_.emplace_back(options_.qos.tenant_iops_cap,
@@ -181,10 +202,9 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::FinishCreate(
     std::unique_ptr<ShardedEngine> se) {
   for (auto& sh : se->shards_) {
     sh->ring = std::make_unique<MpscRing<SubOp>>(se->options_.ring_capacity);
+    sh->completions =
+        std::make_unique<MpscRing<SubDone>>(se->options_.ring_capacity);
   }
-  se->completions_ = std::make_unique<MpscRing<SubDone>>(
-      static_cast<std::size_t>(se->options_.ring_capacity) *
-      se->shards_.size());
   Status built = se->BuildEngines();
   if (!built.ok()) return built;
   se->RegisterObservability();
@@ -251,7 +271,7 @@ Status ShardedEngine::StartRunLoops() {
     {
       sync::MutexLock lock(&sh.wake_mu);
       sh.stop = false;
-      sh.work_hint = false;
+      sh.parked.store(false, std::memory_order_relaxed);
     }
     sh.loop = pool_->Submit([this, s] { RunLoop(s); });
   }
@@ -287,9 +307,17 @@ Result<u64> ShardedEngine::Submit(const Request& request) {
     return Status::InvalidArgument("sharded: tenant out of range");
   }
 
-  PendingReq pending;
+  u64 handle = backlog_.size();
+  if (backlog_free_count_ > 0) {
+    handle = backlog_free_[--backlog_free_count_];
+  } else {
+    backlog_.emplace_back();
+    backlog_free_.emplace_back();  // room for every handle to be free
+  }
+  PendingReq& pending = backlog_[handle];
   pending.req = request;
   pending.admitted = buckets_[request.tenant].Admit(request.arrival);
+  pending.live = true;
   if (tenant_requests_.size() > request.tenant &&
       tenant_requests_[request.tenant] != nullptr) {
     tenant_requests_[request.tenant]->Inc();
@@ -299,15 +327,14 @@ Result<u64> ShardedEngine::Submit(const Request& request) {
           ToMicros(pending.admitted - request.arrival)));
     }
   }
-
-  const u64 handle = next_handle_++;
-  backlog_.emplace(handle, std::move(pending));
   wfq_.Push(request.tenant, handle, PageUnits(request.size));
 
   // Pump until this request has left the backlog (one Submit enqueues
   // one request, so this is at most ceil(backlog / max_batch) pumps).
+  // A backlog slot is reused only by a later Submit, so `live` cannot
+  // flip back while this loop runs.
   awaited_handle_ = handle;
-  while (backlog_.count(handle) != 0) {
+  while (backlog_[handle].live) {
     Status st = DispatchBatch();
     if (!st.ok()) {
       awaited_handle_ = ~static_cast<u64>(0);
@@ -342,54 +369,53 @@ Status ShardedEngine::DispatchBatch() {
   return Status::Ok();
 }
 
-Status ShardedEngine::DispatchOne(u64 handle) {
-  auto bit = backlog_.find(handle);
-  EDC_CHECK(bit != backlog_.end());
-  PendingReq pending = std::move(bit->second);
-  backlog_.erase(bit);
+EDC_HOT Status ShardedEngine::DispatchOne(u64 handle) {
+  EDC_CHECK(handle < backlog_.size() && backlog_[handle].live);
+  PendingReq& pending = backlog_[handle];
+  pending.live = false;
+  backlog_free_[backlog_free_count_++] = handle;
 
   const u64 seq = next_seq_++;
   if (handle == awaited_handle_) awaited_seq_ = seq;
 
-  std::vector<ShardRouter::Part> parts;
-  router_.Split(pending.req.offset, pending.req.size, &parts);
-  EDC_CHECK(!parts.empty());
+  router_.Split(pending.req.offset, pending.req.size, &parts_);
+  EDC_CHECK(!parts_.empty());
+  const u32 n_parts = static_cast<u32>(parts_.size());
 
-  InFlight fl;
+  InFlight& fl = SlotOf(seq);
+  fl.seq = seq;
   fl.tenant = pending.req.tenant;
   fl.kind = pending.req.kind;
   fl.submitted = pending.req.arrival;
   fl.admitted = pending.admitted;
-  fl.n_parts = static_cast<u32>(parts.size());
-  fl.part_shards.reserve(parts.size());
-  for (const auto& p : parts) fl.part_shards.push_back(p.shard);
-  inflight_.emplace(seq, std::move(fl));
+  fl.n_parts = n_parts;
+  fl.parts_done = 0;
+  fl.first_shard = parts_[0].shard;
+  fl.completion = 0;
+  fl.error_part = 0;
+  fl.status = Status::Ok();
 
   bool straddles = false;
-  for (std::size_t i = 1; i < parts.size(); ++i) {
-    if (parts[i].shard != parts[0].shard) straddles = true;
+  for (u32 i = 1; i < n_parts; ++i) {
+    if (parts_[i].shard != parts_[0].shard) straddles = true;
   }
   if (straddles && straddled_total_ != nullptr) straddled_total_->Inc();
 
-  for (u32 i = 0; i < parts.size(); ++i) {
-    const ShardRouter::Part& p = parts[i];
+  for (u32 i = 0; i < n_parts; ++i) {
+    const ShardRouter::Part& p = parts_[i];
+    EDC_DCHECK(p.shard == (fl.first_shard + i) % shards());
     Shard& sh = *shards_[p.shard];
     SubOp op;
     op.seq = seq;
     op.part = i;
-    op.n_parts = static_cast<u32>(parts.size());
+    op.n_parts = n_parts;
     op.kind = pending.req.kind;
     op.arrival = pending.admitted;
     op.offset = p.offset;
     op.size = p.size;
     // A full ring means the shard is behind; wait for it to drain (no
     // completion is *applied* here, so determinism is unaffected).
-    while (!sh.ring->TryPush(std::move(op))) {
-      CollectCompletions();
-      sync::MutexLock lock(&driver_mu_);
-      if (!completions_hint_) driver_cv_.Wait(&driver_mu_);
-      completions_hint_ = false;
-    }
+    while (!sh.ring->TryPush(std::move(op))) AwaitCompletions();
     ++sh.logical_depth;
     if (sh.dispatched_total != nullptr) {
       sh.dispatched_total->Inc();
@@ -401,56 +427,78 @@ Status ShardedEngine::DispatchOne(u64 handle) {
   return Status::Ok();
 }
 
-void ShardedEngine::CollectCompletions() {
+EDC_HOT bool ShardedEngine::CollectCompletions() {
+  // The join below is order-independent (count, max, lowest failing
+  // part), so the order the shards are visited in does not matter.
+  bool any = false;
   SubDone d;
-  while (completions_->TryPop(&d)) {
-    auto it = inflight_.find(d.seq);
-    EDC_CHECK(it != inflight_.end());
-    InFlight& fl = it->second;
-    ++fl.parts_done;
-    if (d.completion > fl.completion) fl.completion = d.completion;
-    if (!d.status.ok() &&
-        (fl.status.ok() || d.part < fl.error_part)) {
-      fl.status = std::move(d.status);
-      fl.error_part = d.part;
+  for (auto& sh : shards_) {
+    while (sh->completions->TryPop(&d)) {
+      any = true;
+      InFlight& fl = SlotOf(d.seq);
+      EDC_CHECK(fl.seq == d.seq && d.seq >= apply_next_ &&
+                d.seq < next_seq_);
+      ++fl.parts_done;
+      if (d.completion > fl.completion) fl.completion = d.completion;
+      if (!d.status.ok() &&
+          (fl.status.ok() || d.part < fl.error_part)) {
+        fl.status = std::move(d.status);
+        fl.error_part = d.part;
+      }
     }
   }
+  return any;
 }
 
-Status ShardedEngine::ApplyNext() {
+EDC_HOT Status ShardedEngine::ApplyNext() {
   EDC_CHECK(apply_next_ < next_seq_);
-  for (;;) {
-    CollectCompletions();
-    auto it = inflight_.find(apply_next_);
-    EDC_CHECK(it != inflight_.end());
-    InFlight& fl = it->second;
-    if (fl.parts_done == fl.n_parts) {
-      Completion c;
-      c.seq = apply_next_;
-      c.tenant = fl.tenant;
-      c.kind = fl.kind;
-      c.submitted = fl.submitted;
-      c.admitted = fl.admitted;
-      c.completion = fl.completion;
-      c.status = fl.status;
-      for (u32 s : fl.part_shards) {
-        Shard& sh = *shards_[s];
-        EDC_DCHECK(sh.logical_depth > 0);
-        --sh.logical_depth;
-        if (sh.inflight_depth != nullptr) {
-          sh.inflight_depth->Set(static_cast<double>(sh.logical_depth));
-        }
-      }
-      if (applied_total_ != nullptr) applied_total_->Inc();
-      inflight_.erase(it);
-      ++apply_next_;
-      last_applied_ = c;
-      if (on_complete_) on_complete_(c);
-      return Status::Ok();
+  InFlight& fl = SlotOf(apply_next_);
+  EDC_CHECK(fl.seq == apply_next_);
+  CollectCompletions();
+  while (fl.parts_done != fl.n_parts) AwaitCompletions();
+  Completion c;
+  c.seq = apply_next_;
+  c.tenant = fl.tenant;
+  c.kind = fl.kind;
+  c.submitted = fl.submitted;
+  c.admitted = fl.admitted;
+  c.completion = fl.completion;
+  c.status = fl.status;
+  const u32 n_shards = shards();
+  for (u32 i = 0; i < fl.n_parts; ++i) {
+    Shard& sh = *shards_[(fl.first_shard + i) % n_shards];
+    EDC_DCHECK(sh.logical_depth > 0);
+    --sh.logical_depth;
+    if (sh.inflight_depth != nullptr) {
+      sh.inflight_depth->Set(static_cast<double>(sh.logical_depth));
     }
-    sync::MutexLock lock(&driver_mu_);
-    if (!completions_hint_) driver_cv_.Wait(&driver_mu_);
-    completions_hint_ = false;
+  }
+  if (applied_total_ != nullptr) applied_total_->Inc();
+  ++apply_next_;
+  last_applied_ = c;
+  if (on_complete_) on_complete_(c);
+  return Status::Ok();
+}
+
+void ShardedEngine::AwaitCompletions() {
+  // Spin on TryPop (the next slot's stamp) rather than on a ring's
+  // tail, which the producer's push CASes.
+  for (u32 i = 0; i < kSpinBudget; ++i) {
+    if (CollectCompletions()) return;
+    CpuRelax();
+  }
+  // Announce, re-check, sleep: a run loop that pushed after the re-check
+  // reads dispatcher_parked_ == true and wakes us (see the header comment).
+  dispatcher_parked_.store(true, std::memory_order_seq_cst);
+  for (auto& sh : shards_) {
+    if (!sh->completions->EmptyForConsumer()) {
+      dispatcher_parked_.store(false, std::memory_order_relaxed);
+      return;
+    }
+  }
+  sync::MutexLock lock(&dispatcher_mu_);
+  while (dispatcher_parked_.load(std::memory_order_relaxed)) {
+    dispatcher_cv_.Wait(&dispatcher_mu_);
   }
 }
 
@@ -481,29 +529,40 @@ Result<Completion> ShardedEngine::SubmitAndWait(const Request& request) {
 }
 
 void ShardedEngine::WakeShard(Shard& s) {
+  if (!s.parked.load(std::memory_order_seq_cst)) return;
   sync::MutexLock lock(&s.wake_mu);
-  s.work_hint = true;
+  s.parked.store(false, std::memory_order_relaxed);
   s.wake_cv.NotifyOne();
 }
 
 void ShardedEngine::RunLoop(std::size_t shard_index) {
   Shard& s = *shards_[shard_index];
   s.engine->RebindOwnerThread();
+  SubOp op;
   for (;;) {
-    SubOp op;
-    if (s.ring->TryPop(&op)) {
+    bool popped = s.ring->TryPop(&op);
+    for (u32 i = 0; !popped && i < kSpinBudget; ++i) {
+      CpuRelax();
+      popped = s.ring->TryPop(&op);
+    }
+    if (popped) {
       ProcessSubOp(s, op);
+      continue;
+    }
+    // Announce, re-check, sleep: a push after the re-check reads
+    // parked == true and wakes us (see the header comment).
+    s.parked.store(true, std::memory_order_seq_cst);
+    if (!s.ring->EmptyForConsumer()) {
+      s.parked.store(false, std::memory_order_relaxed);
       continue;
     }
     bool should_stop = false;
     {
       sync::MutexLock lock(&s.wake_mu);
-      if (!s.work_hint && !s.stop) s.wake_cv.Wait(&s.wake_mu);
-      if (s.work_hint) {
-        s.work_hint = false;
-      } else if (s.stop) {
-        should_stop = true;
+      while (s.parked.load(std::memory_order_relaxed) && !s.stop) {
+        s.wake_cv.Wait(&s.wake_mu);
       }
+      should_stop = s.stop;
     }
     if (should_stop) {
       // Final drain: anything pushed before the stop flag was raised.
@@ -534,19 +593,21 @@ void ShardedEngine::ProcessSubOp(Shard& s, const SubOp& op) {
   } else {
     d.status = done.status();
   }
-  PushCompletion(std::move(d));
+  PushCompletion(s, std::move(d));
 }
 
-void ShardedEngine::PushCompletion(SubDone&& done) {
-  // The completion ring is sized for the whole window, so this loop is
-  // effectively one iteration; the yield handles the pathological case
-  // of a dispatcher that has not collected in a long time.
-  while (!completions_->TryPush(std::move(done))) {
+EDC_HOT void ShardedEngine::PushCompletion(Shard& s, SubDone&& done) {
+  // Finished parts wait here until the dispatcher next collects; at the
+  // default window (below the ring capacity) the ring fills only when
+  // requests span many chunks or the dispatcher has not collected in a
+  // long time, and the yield covers those cases.
+  while (!s.completions->TryPush(std::move(done))) {
     std::this_thread::yield();
   }
-  sync::MutexLock lock(&driver_mu_);
-  completions_hint_ = true;
-  driver_cv_.NotifyOne();
+  if (!dispatcher_parked_.load(std::memory_order_seq_cst)) return;
+  sync::MutexLock lock(&dispatcher_mu_);
+  dispatcher_parked_.store(false, std::memory_order_relaxed);
+  dispatcher_cv_.NotifyOne();
 }
 
 Result<SimTime> ShardedEngine::FlushAllPending(SimTime now) {

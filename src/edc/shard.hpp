@@ -5,14 +5,14 @@
 // the way SPDK's "reduce" bdev does — by partitioning the logical space
 // into N independent lanes:
 //
-//   tenants ──Submit──▶ token bucket ─▶ WFQ ─▶ seq# ─▶ per-shard MPSC
-//                      (IOPS cap)    (weighted    │     rings
+//   tenants ──Submit──▶ token bucket ─▶ WFQ ─▶ seq# ─▶ per-shard
+//                      (IOPS cap)    (weighted    │     submission rings
 //                                     dequeue)    ▼
 //                               shard run-loops (WorkerPool threads),
 //                               one Engine + FlatIndex + allocator +
 //                               journal lane + Scratch per shard
 //                                                │
-//   dispatcher ◀── seq-ordered apply ◀── completion MPSC ring
+//   dispatcher ◀── seq-ordered apply ◀── per-shard completion rings
 //
 // Partitioning: chunked LBA ranges — shard_of(block) =
 // (block / chunk_blocks) % shards. A request crossing a chunk boundary
@@ -23,10 +23,10 @@
 // part finished, at the max part completion time, with the first
 // non-ok part status (lowest part index wins).
 //
-// Determinism contract (the hard bar of ISSUE 10): all externally
-// visible effects — per-LBA data, completion order, every metric the
-// layer exports — are pure functions of the submitted request sequence,
-// independent of wall-clock thread interleaving:
+// Determinism contract: all externally visible effects — per-LBA data,
+// completion order, every metric the layer exports — are pure functions
+// of the submitted request sequence, independent of wall-clock thread
+// interleaving:
 //   * dispatch order is decided entirely on the dispatcher thread
 //     (token bucket + WFQ are integer math over simulated time);
 //   * each shard ring is FIFO and each shard engine shares no state
@@ -35,11 +35,32 @@
 //   * completions are *applied* (callback + counters) strictly in seq
 //     order, and only at deterministic points: when the in-flight
 //     window forces room at Submit, and at Drain. Whatever the
-//     completion ring holds at any wall-clock instant is invisible
+//     completion rings hold at any wall-clock instant is invisible
 //     bookkeeping until then.
 // Per-LBA content is additionally shard-count-invariant: each block's
 // write sequence (and thus its content version) is preserved by any
 // partitioning, so read-back is byte-identical at shards=1 and shards=N.
+//
+// Handoff (spin, then park): each shard has one submission ring (the
+// dispatcher produces, the run loop consumes) and one completion ring
+// (the run loop produces, the dispatcher consumes), so no ring has two
+// producers contending on its tail. A consumer that finds its ring(s)
+// empty — a run loop waiting for sub-requests, or the dispatcher waiting
+// for completions — polls with TryPop for kSpinBudget pause iterations,
+// then stores its `parked` flag (seq_cst), re-checks with
+// MpscRing::EmptyForConsumer (a seq_cst tail load; TryPush claims with a
+// seq_cst CAS), and only then sleeps on its condition variable until a
+// producer clears the flag. A producer pushes, then loads the consumer's
+// flag (seq_cst) and takes the lock and notifies only when it is set.
+// Either the consumer's re-check sees the push or the producer sees the
+// flag, so no wakeup is lost, and a busy fabric makes no system call.
+//
+// Allocation-free dispatch: requests in flight live in a fixed ring of
+// window slots (rounded up to a power of two) indexed by seq — at most
+// `window` seqs are ever in flight, so slots never collide. A request's
+// parts occupy consecutive chunks, which rotate through the shards, so a
+// slot records only the first part's shard and the part count. The
+// Split output and the WFQ backlog reuse storage sized at warm-up.
 //
 // Observability: per-shard/per-tenant counters, logical queue-depth
 // gauges and dispatch-batch histograms are registered by the dispatcher
@@ -49,12 +70,11 @@
 // nondeterministically.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <future>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mpsc_ring.hpp"
@@ -124,7 +144,10 @@ struct QosConfig {
   u64 tenant_iops_cap = 0;
   /// Token-bucket depth (burst) in requests.
   u64 tenant_burst = 64;
-  /// WFQ weight per tenant (missing entries default to 1).
+  /// WFQ weight per tenant (missing entries default to 1). Submit
+  /// dispatches its own request before it returns, so the WFQ backlog
+  /// never holds more than one request and the weights (like max_batch)
+  /// do not change the dispatch order.
   std::vector<u32> tenant_weights;
 };
 
@@ -265,25 +288,30 @@ class ShardedEngine {
     Status status;
   };
 
-  /// A request admitted but not yet dispatched (WFQ backlog).
+  /// A request admitted but not yet dispatched (WFQ backlog). Slots are
+  /// recycled through backlog_free_; `live` marks an occupied slot.
   struct PendingReq {
     Request req;
     SimTime admitted = 0;
+    bool live = false;
   };
 
-  /// A request dispatched into shard rings, awaiting its parts.
+  /// A request dispatched into shard rings, awaiting its parts. Lives in
+  /// inflight_[seq & inflight_mask_].
   struct InFlight {
+    u64 seq = 0;
     u32 tenant = 0;
     OpKind kind = OpKind::kWrite;
     SimTime submitted = 0;
     SimTime admitted = 0;
     u32 n_parts = 0;
     u32 parts_done = 0;
+    /// Shard of part 0; part i is on (first_shard + i) % shards, since
+    /// the parts cover consecutive chunks.
+    u32 first_shard = 0;
     SimTime completion = 0;      // max over finished parts
     u32 error_part = 0;          // lowest part index with a non-ok status
     Status status;               // ok until a part fails
-    /// Shard of each part, for queue-depth accounting at apply time.
-    std::vector<u32> part_shards;
   };
 
   struct Shard {
@@ -295,11 +323,15 @@ class ShardedEngine {
     const core::CostModel* cost_model = nullptr;
     std::unique_ptr<core::Engine> engine;
 
-    // Submission lane.
+    // Submission lane and this shard's completion lane. `parked` is set
+    // by the run loop before it sleeps and cleared (under wake_mu) by
+    // whoever wakes it; its own cache line keeps the dispatcher's
+    // per-push load off the run loop's fields.
     std::unique_ptr<MpscRing<SubOp>> ring;
+    std::unique_ptr<MpscRing<SubDone>> completions;
+    alignas(64) std::atomic<bool> parked{false};
     sync::Mutex wake_mu{sync::lock_rank::kShardQueue, "shard.wake"};
     sync::CondVar wake_cv;
-    bool work_hint EDC_GUARDED_BY(wake_mu) = false;
     bool stop EDC_GUARDED_BY(wake_mu) = false;
     std::future<void> loop;
 
@@ -331,14 +363,23 @@ class ShardedEngine {
   /// is the seq sequence.
   Status ApplyNext();
 
-  /// Non-blocking: move every SubDone currently in the completion ring
+  /// Non-blocking: move every SubDone currently in the completion rings
   /// into the in-flight table (bookkeeping only — no visible effects).
-  void CollectCompletions();
+  /// Returns whether it moved any.
+  bool CollectCompletions();
 
+  /// Dispatcher: collect completions, spinning until at least one
+  /// arrives; past the spin budget, park until a run loop pushes (and
+  /// return without collecting — callers loop).
+  void AwaitCompletions();
+
+  /// Dispatcher, after a push into s.ring: wake the run loop if parked.
   void WakeShard(Shard& s);
   void RunLoop(std::size_t shard_index);
   void ProcessSubOp(Shard& s, const SubOp& op);
-  void PushCompletion(SubDone&& done);
+  void PushCompletion(Shard& s, SubDone&& done);
+
+  InFlight& SlotOf(u64 seq) { return inflight_[seq & inflight_mask_]; }
 
   ShardedOptions options_;
   ShardRouter router_;
@@ -351,25 +392,31 @@ class ShardedEngine {
   // --- Dispatcher state (thread-confined; see dispatcher_) -------------
   std::vector<TokenBucket> buckets_;     // one per tenant
   WfqScheduler wfq_;
-  std::unordered_map<u64, PendingReq> backlog_;  // WFQ handle -> request
+  /// WFQ backlog; a WFQ handle is an index into it.
+  std::vector<PendingReq> backlog_;
+  /// Recycled backlog_ indexes: a stack of backlog_free_count_ entries,
+  /// sized with backlog_ so releasing a slot never allocates.
+  std::vector<u64> backlog_free_;
+  std::size_t backlog_free_count_ = 0;
   /// Set by Submit around its dispatch pump so DispatchOne can report
   /// the seq assigned to the one handle the caller waits on (the WFQ may
   /// dispatch other handles first).
   u64 awaited_handle_ = ~static_cast<u64>(0);
   u64 awaited_seq_ = 0;
-  u64 next_handle_ = 0;
   u64 next_seq_ = 0;        // assigned at dispatch
   u64 apply_next_ = 0;      // next seq to apply
-  std::map<u64, InFlight> inflight_;
+  std::vector<InFlight> inflight_;       // seq-indexed, power-of-two size
+  u64 inflight_mask_ = 0;
+  std::vector<ShardRouter::Part> parts_;  // DispatchOne's Split output
   CompletionFn on_complete_;
   Completion last_applied_;
 
-  // Completion fabric: shard threads produce, dispatcher consumes.
-  std::unique_ptr<MpscRing<SubDone>> completions_;
-  sync::Mutex driver_mu_{sync::lock_rank::kShardControl,
-                         "shard.dispatcher"};
-  sync::CondVar driver_cv_;
-  bool completions_hint_ EDC_GUARDED_BY(driver_mu_) = false;
+  // Dispatcher wakeup: set before it sleeps waiting for completions,
+  // cleared (under dispatcher_mu_) by the run loop that wakes it.
+  alignas(64) std::atomic<bool> dispatcher_parked_{false};
+  sync::Mutex dispatcher_mu_{sync::lock_rank::kShardControl,
+                             "shard.dispatcher"};
+  sync::CondVar dispatcher_cv_;
 
   // Dispatcher-side tenant observability (null without an observer).
   std::vector<obs::Counter*> tenant_requests_;

@@ -16,7 +16,13 @@ namespace {
 void XorInto(Bytes* acc, ByteSpan b) {
   if (b.empty()) return;
   if (acc->size() < b.size()) acc->resize(b.size(), 0);
-  for (std::size_t i = 0; i < b.size(); ++i) (*acc)[i] ^= b[i];
+  // Hoisted pointers: through (*acc)[i] the u8 store may alias the
+  // vector's own data pointer, which forces a reload per byte and keeps
+  // the loop scalar.
+  u8* dst = acc->data();
+  const u8* src = b.data();
+  const std::size_t n = b.size();
+  for (std::size_t i = 0; i < n; ++i) dst[i] ^= src[i];
 }
 
 ByteSpan FirstPage(const IoResult& io) {

@@ -104,6 +104,59 @@ TEST(Pcg32, ZipfZeroExponentIsUniformish) {
   for (int c : counts) EXPECT_GT(c, 3500);
 }
 
+// Generated content (and with it every compression ratio) hangs on these
+// draws, so the values are pinned: the first eight draws, the sum of
+// 10000 and the generator state after them, from Pcg32(2024, 3).
+TEST(ZipfSampler, PinnedDrawsMatchNextZipfTabulatedOrNot) {
+  struct Case {
+    u32 n;
+    double s;
+    std::array<u32, 8> first;
+    u64 sum;
+    u64 next;
+  };
+  const Case cases[] = {
+      {4000, 1.05, {0, 296, 0, 4, 2448, 49, 2, 98}, 3478877,
+       4144952695667664675ull},
+      {27, 0.7, {0, 13, 0, 2, 24, 7, 1, 9}, 71510, 13996753474618965774ull},
+      // s = 0.3 draws leave the inversion's domain (NaN) and reject them.
+      {10, 0.3, {0, 6, 0, 1, 9, 4, 1, 5}, 34785, 7569992621875146590ull},
+      {100, 1.0, {0, 25, 0, 78, 8, 0, 13, 0}, 159176,
+       14735899025826131044ull},
+  };
+  for (const Case& c : cases) {
+    for (int mode = 0; mode < 3; ++mode) {
+      SCOPED_TRACE(testing::Message() << "n=" << c.n << " s=" << c.s
+                                      << " mode=" << mode);
+      const ZipfSampler sampler(c.n, c.s, /*tabulate=*/mode == 2);
+      Pcg32 rng(2024, 3);
+      u64 sum = 0;
+      for (int i = 0; i < 10000; ++i) {
+        const u32 v =
+            mode == 0 ? rng.NextZipf(c.n, c.s) : sampler.Sample(rng);
+        if (i < 8) {
+          EXPECT_EQ(v, c.first[static_cast<std::size_t>(i)]) << i;
+        }
+        sum += v;
+      }
+      EXPECT_EQ(sum, c.sum);
+      EXPECT_EQ(rng.NextU64(), c.next);
+    }
+  }
+}
+
+TEST(ZipfSampler, DegenerateSizesAndExponents) {
+  Pcg32 a(5), b(5);
+  for (u32 n : {0u, 1u}) {
+    EXPECT_EQ(ZipfSampler(n, 1.0).Sample(a), 0u);
+    EXPECT_EQ(a.NextU64(), b.NextU64()) << "n <= 1 must not draw";
+  }
+  const ZipfSampler uniform(10, 0.0);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_EQ(uniform.Sample(a), b.NextBounded(10));
+  }
+}
+
 TEST(Pcg32, DeriveGivesIndependentDeterministicStreams) {
   Pcg32 a = Pcg32::Derive(99, 1);
   Pcg32 a2 = Pcg32::Derive(99, 1);

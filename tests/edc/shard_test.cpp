@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
 #include <vector>
+
+#include "common/rng.hpp"
+#include "ssd/ssd.hpp"
 
 namespace edc::shard {
 namespace {
@@ -293,6 +298,114 @@ TEST(ShardedEngine, AggregatesDeviceStatsAcrossShards) {
   EXPECT_EQ(agg.host_pages_written, sum_written);
   EXPECT_EQ(agg.busy_time, max_busy);  // parallel lanes, not a sum
   EXPECT_GT(agg.host_pages_written, 0u);
+}
+
+// Lost-wakeup stress for the spin-then-park handoff. Two-slot shard rings
+// and a one- or three-request window make the dispatcher and the run loops
+// wait on each other constantly (full rings in DispatchOne, an incomplete
+// head in ApplyNext); the run loops are stopped and restarted every few
+// hundred requests; and idle gaps far longer than the spin budget (about
+// 20 us natively) let both sides park, so every push after a gap must
+// wake a sleeper. A lost wakeup hangs Submit or Drain, which the test's
+// ctest TIMEOUT turns into a failure. The engines run modeled (no codec
+// work; each test calibrates one small cost model for its shard counts),
+// so the handoff rather than the engines is what the threads spend their
+// time on.
+struct HandoffStressBase {
+  datagen::ContentGenerator generator;
+  core::CostModel model;
+
+  static HandoffStressBase Make() {
+    datagen::ContentGenerator gen(datagen::ProfileByName("usr").value(), 42);
+    core::CostModelConfig calib;
+    calib.calib_bytes = 1 << 14;
+    core::CostModel model = core::CostModel::Calibrate(gen, calib);
+    return HandoffStressBase{std::move(gen), std::move(model)};
+  }
+};
+
+void RunHandoffStress(const HandoffStressBase& base, u32 shards,
+                      u32 window) {
+  SCOPED_TRACE(testing::Message() << "shards=" << shards
+                                  << " window=" << window);
+  constexpr u64 kRequests = 20000;
+  constexpr u64 kRestartEvery = 300;
+  constexpr u64 kGapEvery = 128;
+  constexpr u32 kSpanBlocks = 512;
+
+  std::vector<std::unique_ptr<ssd::Ssd>> devices;
+  std::vector<ShardBacking> backings;
+  for (u32 s = 0; s < shards; ++s) {
+    ssd::SsdConfig sc;
+    sc.geometry.num_blocks = 256;
+    sc.store_data = false;
+    devices.push_back(std::make_unique<ssd::Ssd>(sc));
+    ShardBacking b;
+    b.engine.mode = core::ExecutionMode::kModeled;
+    b.device = devices.back().get();
+    b.generator = &base.generator;
+    b.cost_model = &base.model;
+    backings.push_back(b);
+  }
+  ShardedOptions so;
+  so.shards = shards;
+  so.ring_capacity = 2;
+  so.window = window;
+  so.chunk_blocks = 2;  // requests of up to 7 blocks straddle 2-4 chunks
+  auto se = ShardedEngine::CreateFromBackings(so, std::move(backings));
+  ASSERT_TRUE(se.ok()) << se.status().ToString();
+  ShardedEngine& e = **se;
+
+  std::vector<u64> seqs;
+  seqs.reserve(kRequests);
+  u64 failed = 0;
+  e.SetCompletionCallback([&](const Completion& c) {
+    if (!c.status.ok()) ++failed;
+    seqs.push_back(c.seq);
+  });
+
+  Pcg32 rng(0x5EED0000u + 16 * shards + window);
+  ASSERT_TRUE(e.StartRunLoops().ok());
+  for (u64 i = 0; i < kRequests; ++i) {
+    if (i > 0 && i % kRestartEvery == 0) {
+      ASSERT_TRUE(e.StopRunLoops().ok()) << i;
+      ASSERT_TRUE(e.StartRunLoops().ok()) << i;
+    }
+    if (i % kGapEvery == kGapEvery - 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    const u32 blocks = 1 + rng.NextBounded(7);
+    const u32 pick = rng.NextBounded(10);
+    Request req;
+    req.kind = pick < 7 ? OpKind::kWrite
+               : pick < 9 ? OpKind::kRead
+                          : OpKind::kTrim;
+    req.arrival = static_cast<SimTime>(i) * 10 * kMicrosecond;
+    req.offset = static_cast<u64>(rng.NextBounded(kSpanBlocks - blocks)) * kBlk;
+    req.size = blocks * static_cast<u32>(kBlk);
+    auto seq = e.Submit(req);
+    ASSERT_TRUE(seq.ok()) << i << ": " << seq.status().ToString();
+    ASSERT_EQ(*seq, i);
+  }
+  ASSERT_TRUE(e.Drain().ok());
+  ASSERT_TRUE(e.StopRunLoops().ok());
+
+  EXPECT_EQ(failed, 0u);
+  ASSERT_EQ(seqs.size(), kRequests);
+  for (u64 i = 0; i < kRequests; ++i) {
+    ASSERT_EQ(seqs[i], i) << "completion out of order or repeated";
+  }
+  EXPECT_TRUE(e.AuditAll().ok()) << e.AuditAll().ToString();
+}
+
+TEST(ShardedEngine, HandoffStressWindowOne) {
+  const HandoffStressBase base = HandoffStressBase::Make();
+  for (u32 shards : {1u, 2u, 4u}) RunHandoffStress(base, shards, 1);
+}
+
+TEST(ShardedEngine, HandoffStressWindowThree) {
+  const HandoffStressBase base = HandoffStressBase::Make();
+  for (u32 shards : {1u, 2u, 4u}) RunHandoffStress(base, shards, 3);
 }
 
 }  // namespace

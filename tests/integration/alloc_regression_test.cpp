@@ -8,6 +8,10 @@
 // change that sneaks a per-call allocation back into these paths fails
 // here, not in a benchmark regression months later.
 //
+// The sharded engine's dispatcher is pinned the same way, counting only
+// the allocations made on the dispatcher thread (a thread-local counter):
+// the shard run loops own their engines and are not part of this contract.
+//
 // The binary is its own test target so the hook cannot perturb other
 // suites, and it skips itself under sanitizers (their runtimes intercept
 // malloc and the counts would be meaningless).
@@ -21,16 +25,19 @@
 #include "codec/scratch.hpp"
 #include "common/crc32.hpp"
 #include "edc/mapping.hpp"
+#include "edc/shard.hpp"
 #include "testutil.hpp"
 
 #if !defined(EDC_SANITIZE_BUILD)
 
 namespace {
 std::atomic<unsigned long long> g_allocs{0};
+thread_local unsigned long long t_allocs = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  ++t_allocs;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -50,6 +57,15 @@ unsigned long long AllocCount() {
   return 0;
 #else
   return g_allocs.load(std::memory_order_relaxed);
+#endif
+}
+
+/// Allocations made so far by the calling thread.
+unsigned long long ThreadAllocCount() {
+#if defined(EDC_SANITIZE_BUILD)
+  return 0;
+#else
+  return t_allocs;
 #endif
 }
 
@@ -120,6 +136,64 @@ TEST(AllocRegression, SteadyStateHotPathsAreAllocationFree) {
       << "steady-state write/read hot path allocated " << (after - before)
       << " times in 64 iterations";
   (void)crc_mix;
+}
+
+TEST(AllocRegression, ShardedDispatchIsAllocationFree) {
+#if defined(EDC_SANITIZE_BUILD)
+  GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
+#endif
+  // Modeled 2-shard, 2-tenant engine, as the sharded replay benchmark
+  // runs it. Small chunks make some requests straddle shards.
+  core::StackConfig cfg;
+  cfg.mode = core::ExecutionMode::kModeled;
+  cfg.content_profile = "usr";
+  cfg.ssd.geometry.num_blocks = 512;
+  cfg.ssd.store_data = false;
+  shard::ShardedOptions so;
+  so.shards = 2;
+  so.tenants = 2;
+  so.chunk_blocks = 8;
+  auto se = shard::ShardedEngine::Create(so, cfg);
+  ASSERT_TRUE(se.ok()) << se.status().ToString();
+  shard::ShardedEngine& e = **se;
+  u64 applied = 0;
+  bool all_ok = true;
+  e.SetCompletionCallback([&](const shard::Completion& c) {
+    ++applied;
+    all_ok &= c.status.ok();
+  });
+  ASSERT_TRUE(e.StartRunLoops().ok());
+
+  u64 next = 0;
+  auto submit = [&](u64 n) {
+    for (u64 i = 0; i < n; ++i, ++next) {
+      shard::Request req;
+      req.kind = next % 8 == 7 ? shard::OpKind::kRead : shard::OpKind::kWrite;
+      req.arrival = static_cast<SimTime>(next) * 20 * kMicrosecond;
+      req.offset = (next * 37 % 2000) * kLogicalBlockSize;
+      req.size = static_cast<u32>((1 + next % 4) * kLogicalBlockSize);
+      req.tenant = static_cast<u32>(next % 2);
+      all_ok &= e.Submit(req).ok();
+    }
+    all_ok &= e.Drain().ok();
+  };
+
+  // Warm-up: more than one full window, so every in-flight slot, the
+  // Split buffer, the backlog slot and the WFQ rings reach their size.
+  submit(4 * so.window);
+  ASSERT_TRUE(all_ok);
+
+  const u64 n = 8 * so.window;
+  const unsigned long long before = ThreadAllocCount();
+  submit(n);
+  const unsigned long long after = ThreadAllocCount();
+
+  ASSERT_TRUE(e.StopRunLoops().ok());
+  EXPECT_TRUE(all_ok);
+  EXPECT_EQ(applied, 12u * so.window);
+  EXPECT_EQ(after - before, 0u)
+      << "the dispatcher allocated " << (after - before) << " times over "
+      << n << " Submits and a Drain";
 }
 
 }  // namespace
