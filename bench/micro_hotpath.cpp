@@ -18,7 +18,9 @@
 //     observer, a metrics+trace observer, and the full continuous
 //     telemetry stack (sampler + watchdog + flight recorder), so the
 //     cost of leaving telemetry on is a tracked number
-//     (docs/observability.md#continuous-telemetry).
+//     (docs/observability.md#continuous-telemetry) — plus the cost of
+//     recording one trace event (flight-recorder tap attached) and the
+//     throughput of each export format.
 //
 //   $ ./micro_hotpath --json=BENCH_hotpath.json
 //
@@ -449,7 +451,99 @@ struct ObsOverheadResult {
   double full_req_per_sec = 0;    // + sampler, watchdog, flight recorder
   double obs_overhead_pct = 0;    // wall-time increase vs. observer off
   double full_overhead_pct = 0;
+  double record_ns_per_event = 0;  // trace event, flight tap attached
+  // Export throughput over the full-telemetry replay's own data.
+  double trace_json_mib_per_sec = 0;
+  double timeseries_json_mib_per_sec = 0;
+  double timeseries_csv_mib_per_sec = 0;
+  double metrics_json_mib_per_sec = 0;
+  double prometheus_mib_per_sec = 0;
 };
+
+// One request's worth of trace events in the shape a functional Fin2
+// replay records (82% reads; about 4 events and 2.5 args per event).
+// Returns the number of events recorded.
+u64 RecordFin2Request(obs::TraceRecorder* trace, u64 i, SimTime t) {
+  const u64 lba = i * 7919 % 100000;
+  const u64 group = i % 5000;
+  if (i % 5 == 0) {
+    trace->Instant("policy.select", "policy", obs::kHostTid, t,
+                   {{"lba", lba},
+                    {"blocks", 1u},
+                    {"calculated_iops", 1234.5},
+                    {"est_fraction", 0.42},
+                    {"codec", codec::CodecName(codec::CodecId::kLzf)},
+                    {"skipped_content", false},
+                    {"skipped_intensity", false},
+                    {"breaker_open", false}});
+    trace->Instant("alloc.place", "alloc", obs::kHostTid, t,
+                   {{"group", group},
+                    {"quanta", 2u},
+                    {"stored_bytes", u64{2048}},
+                    {"start_quantum", lba * 2}});
+    trace->Span("flash.program", "device", obs::kDeviceTid, t, t + 90,
+                {{"first_page", lba}, {"pages", u64{1}}});
+    trace->Span("host.write", "host", obs::kHostTid, t, t + 120,
+                {{"offset", lba * 4096}, {"size", 4096u}});
+    return 4;
+  }
+  if (i % 3 == 0) {
+    trace->Instant("cache.hit", "cache", obs::kHostTid, t,
+                   {{"group", group}});
+    trace->Span("host.read", "host", obs::kHostTid, t, t,
+                {{"offset", lba * 4096}, {"size", 4096u}});
+    return 2;
+  }
+  trace->Instant("cache.miss", "cache", obs::kHostTid, t,
+                 {{"group", group}});
+  trace->Span("flash.read", "device", obs::kDeviceTid, t, t + 50,
+              {{"first_page", lba}, {"pages", u64{1}}, {"group", group}});
+  trace->Span("codec.decompress", "codec", obs::kCpuTidBase, t + 50, t + 60,
+              {{"codec", codec::CodecName(codec::CodecId::kLzf)},
+               {"orig_bytes", u64{4096}},
+               {"group", group}});
+  trace->Span("host.read", "host", obs::kHostTid, t, t + 60,
+              {{"offset", lba * 4096}, {"size", 4096u}});
+  return 4;
+}
+
+// Wall nanoseconds per recorded event: the Fin2 event mix into a
+// recorder with the flight recorder's tap attached (what a telemetry
+// replay pays inside every engine call).
+double BenchTraceRecord() {
+  obs::Observer::Options oo;
+  oo.flight_recorder = true;
+  obs::Observer observer(oo);
+  obs::TraceRecorder* trace = observer.trace();
+  u64 events = 0;
+  for (u64 i = 0; i < 20000; ++i) {
+    events += RecordFin2Request(trace, i, static_cast<SimTime>(i) * 1000);
+  }
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    events = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (u64 i = 0; i < 100000; ++i) {
+      events += RecordFin2Request(trace, i, static_cast<SimTime>(i) * 1000);
+    }
+    best = std::min(best, Seconds(t0) * 1e9 / static_cast<double>(events));
+  }
+  return best;
+}
+
+// Best-of-5 MiB/s of rendering one export `iters` times per repetition.
+template <typename Render>
+double ExportMibPerSec(int iters, Render render) {
+  double best = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    std::size_t bytes = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) bytes += render().size();
+    best = std::max(best, static_cast<double>(bytes) / (1024.0 * 1024.0) /
+                              Seconds(t0));
+  }
+  return best;
+}
 
 // Replays one functional-mode trace three times — observer off, the
 // always-on metrics+trace observer, and the full continuous-telemetry
@@ -507,8 +601,22 @@ ObsOverheadResult BenchObs(u64 seed) {
     oo.flight_recorder = true;
     oo.health_rules = obs::DefaultHealthRules();
     obs::Observer observer(oo);
-    if (observer.ok()) r.full_req_per_sec = run(&observer);
+    if (observer.ok()) {
+      r.full_req_per_sec = run(&observer);
+      const obs::MetricsSnapshot snap = observer.Snapshot();
+      r.trace_json_mib_per_sec =
+          ExportMibPerSec(2, [&] { return observer.trace()->ToJson(); });
+      r.timeseries_json_mib_per_sec =
+          ExportMibPerSec(20, [&] { return observer.sampler()->ToJson(); });
+      r.timeseries_csv_mib_per_sec =
+          ExportMibPerSec(20, [&] { return observer.sampler()->ToCsv(); });
+      r.metrics_json_mib_per_sec =
+          ExportMibPerSec(200, [&] { return snap.ToJson(); });
+      r.prometheus_mib_per_sec =
+          ExportMibPerSec(200, [&] { return snap.ToPrometheus(); });
+    }
   }
+  r.record_ns_per_event = BenchTraceRecord();
   r.obs_overhead_pct =
       100.0 * (r.off_req_per_sec / std::max(r.obs_req_per_sec, 1e-9) - 1.0);
   r.full_overhead_pct =
@@ -760,8 +868,20 @@ void WriteJson(const std::string& path, const MappingResult& m,
                obs.full_req_per_sec);
   std::fprintf(f, "    \"observer_overhead_pct\": %.1f,\n",
                obs.obs_overhead_pct);
-  std::fprintf(f, "    \"full_telemetry_overhead_pct\": %.1f\n",
+  std::fprintf(f, "    \"full_telemetry_overhead_pct\": %.1f,\n",
                obs.full_overhead_pct);
+  std::fprintf(f, "    \"trace_record_ns_per_event\": %.1f,\n",
+               obs.record_ns_per_event);
+  std::fprintf(f, "    \"trace_json_mib_per_sec\": %.0f,\n",
+               obs.trace_json_mib_per_sec);
+  std::fprintf(f, "    \"timeseries_json_mib_per_sec\": %.0f,\n",
+               obs.timeseries_json_mib_per_sec);
+  std::fprintf(f, "    \"timeseries_csv_mib_per_sec\": %.0f,\n",
+               obs.timeseries_csv_mib_per_sec);
+  std::fprintf(f, "    \"metrics_json_mib_per_sec\": %.0f,\n",
+               obs.metrics_json_mib_per_sec);
+  std::fprintf(f, "    \"prometheus_mib_per_sec\": %.0f\n",
+               obs.prometheus_mib_per_sec);
   std::fprintf(f, "  },\n  \"shard_scaling\": {\n");
   std::fprintf(f, "    \"workload\": \"fill_random\",\n");
   std::fprintf(f, "    \"requests\": %llu,\n",
@@ -880,6 +1000,20 @@ int main(int argc, char** argv) {
   std::printf("\nObservability overhead (functional replay, %zu requests, "
               "10 ms sampler)\n%s",
               obs.requests, obs_table.ToString().c_str());
+  TextTable export_table({"telemetry cost", "value"});
+  export_table.AddRow({"record ns/event (flight tap)",
+                       TextTable::Num(obs.record_ns_per_event, 1)});
+  export_table.AddRow({"trace JSON MiB/s",
+                       TextTable::Num(obs.trace_json_mib_per_sec, 0)});
+  export_table.AddRow({"timeseries JSON MiB/s",
+                       TextTable::Num(obs.timeseries_json_mib_per_sec, 0)});
+  export_table.AddRow({"timeseries CSV MiB/s",
+                       TextTable::Num(obs.timeseries_csv_mib_per_sec, 0)});
+  export_table.AddRow({"metrics JSON MiB/s",
+                       TextTable::Num(obs.metrics_json_mib_per_sec, 0)});
+  export_table.AddRow({"Prometheus MiB/s",
+                       TextTable::Num(obs.prometheus_mib_per_sec, 0)});
+  std::printf("\n%s", export_table.ToString().c_str());
 
   ShardScalingResult sharding = BenchShardScaling(opt.seed);
   TextTable shard_table({"shards", "sim makespan ms", "sim MB/s", "speedup",

@@ -139,8 +139,7 @@ void Engine::RegisterObservability() {
     for (std::size_t c = 0; c <= codec::kMaxCodecId; ++c) {
       out.AddCounter(
           "edc_groups_by_codec_total",
-          {{"codec",
-            std::string(codec::CodecName(static_cast<codec::CodecId>(c)))}},
+          {{"codec", codec::CodecName(static_cast<codec::CodecId>(c))}},
           s.groups_by_codec[c], "Groups written per selected codec");
     }
     out.AddCounter("edc_unmapped_block_reads_total", {},

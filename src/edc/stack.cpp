@@ -86,7 +86,7 @@ Result<std::unique_ptr<Stack>> Stack::Create(
       // One generic collector works for every device type because the
       // Device interface already aggregates (Rais sums its members).
       ssd::Device* dev = stack->device_.get();
-      m->AddCollector([dev](obs::SampleList& out) {
+      stack->device_collector_ = m->AddCollector([dev](obs::SampleList& out) {
         ssd::DeviceStats d = dev->stats();
         out.AddCounter("edc_device_host_pages_read_total", {},
                        d.host_pages_read, "Host pages read from flash");
@@ -152,6 +152,13 @@ Result<std::unique_ptr<Stack>> Stack::Create(
     }
   }
   return stack;
+}
+
+Stack::~Stack() {
+  if (device_collector_ == 0) return;
+  if (obs::MetricRegistry* m = config_.obs->metrics()) {
+    m->RemoveCollector(device_collector_);
+  }
 }
 
 }  // namespace edc::core

@@ -71,6 +71,9 @@ class Stack {
   static Result<std::unique_ptr<Stack>> Create(
       const StackConfig& config,
       std::shared_ptr<const CostModel> shared_cost_model = nullptr);
+  /// Unregisters the device-stats collector: the observer may outlive
+  /// the stack and snapshot again.
+  ~Stack();
 
   Engine& engine() { return *engine_; }
   const Engine& engine() const { return *engine_; }
@@ -93,6 +96,7 @@ class Stack {
   std::shared_ptr<const CostModel> cost_model_;
   std::unique_ptr<ssd::Device> device_;
   std::unique_ptr<Engine> engine_;
+  u64 device_collector_ = 0;  // MetricRegistry::AddCollector handle
 };
 
 }  // namespace edc::core

@@ -2,15 +2,18 @@
 //
 // The recorder taps every event offered to the TraceRecorder (before the
 // category filter, so a narrow --trace-filter does not blind it) and
-// keeps a bounded per-lane ring of the most recent events, pre-rendered
-// to the same JSON text the trace exporter emits. When an *armed
-// trigger* fires — by default the fault-lifecycle instants
-// `breaker.open`, `rais.member_failed`, `rais.array_failed`,
-// `rais.data_loss`, `scrub.unrepairable`, `audit.fail` — it freezes a
-// self-contained `edc-postmortem-v1` bundle: the triggering event, every
-// lane's recent history, the last K timeseries windows (when a sampler
-// is attached), a metrics section with counter deltas since the last
-// completed window, and a state summary of the breaker / RAIS gauges.
+// keeps a fixed per-lane ring of the most recent `events_per_lane`
+// events in the recorder's compact form: the interned header and a copy
+// of its typed arg slots, with no text rendered. When an *armed trigger*
+// fires — by default the fault-lifecycle instants `breaker.open`,
+// `rais.member_failed`, `rais.array_failed`, `rais.data_loss`,
+// `scrub.unrepairable`, `audit.fail`, compared as interned name ids — it
+// freezes a self-contained `edc-postmortem-v1` bundle, and only then
+// renders the rings to the same JSON text the trace exporter emits: the
+// triggering event, every lane's recent history, the last K timeseries
+// windows (when a sampler is attached), a metrics section with counter
+// deltas since the last completed window, and a state summary of the
+// breaker / RAIS gauges.
 //
 // Each trigger name fires at most once per run (the first breaker trip
 // is the interesting one; a flapping breaker would otherwise bury it),
@@ -20,14 +23,12 @@
 // CLI write each one to --postmortem-dir as it fires.
 //
 // Thread contract: thread-confined to the recording (simulation) thread,
-// like the sampler. The tap runs with no recorder lock held, so bundle
-// assembly may snapshot the registry and read lane names freely.
+// like the sampler. The ring push runs under the trace recorder's lock;
+// the bundle is assembled from OnTrigger with that lock released, so it
+// may snapshot the registry and read lane names freely.
 #pragma once
 
-#include <deque>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -53,11 +54,12 @@ class FlightRecorder : public TraceEventTap {
   static const std::vector<std::string>& DefaultTriggers();
 
   /// `registry` and `trace` must outlive the recorder; `sampler` may be
-  /// null (bundles then carry no windows and deltas baseline at 0).
+  /// null (bundles then carry no windows and deltas baseline at 0). The
+  /// trigger names are interned into `trace`, whose events the recorder
+  /// is then attached to (TraceRecorder::SetTap).
   FlightRecorder(const FlightRecorderConfig& config,
                  const MetricRegistry* registry,
-                 const TimeSeriesSampler* sampler,
-                 const TraceRecorder* trace);
+                 const TimeSeriesSampler* sampler, TraceRecorder* trace);
 
   /// One frozen postmortem. `json` is the complete edc-postmortem-v1
   /// document (see docs/observability.md).
@@ -76,26 +78,52 @@ class FlightRecorder : public TraceEventTap {
   const std::vector<Bundle>& bundles() const { return bundles_; }
 
   /// Forget which triggers have fired (tests exercising repeat faults).
-  void Rearm() { fired_.clear(); }
+  void Rearm();
 
   bool IsTrigger(const std::string& name) const;
 
   // TraceEventTap
-  void OnTraceEvent(char phase, const std::string& name,
-                    std::string_view cat, u32 tid, SimTime ts, SimTime dur,
-                    const TraceArgs& args) override;
+  bool OnTraceEvent(const TraceEvent& e, const TraceArgSlot* args) override;
+  void OnTrigger() override;
 
  private:
-  std::string BuildBundle(u64 seq, const std::string& trigger_json,
-                          const std::string& name, std::string_view cat,
-                          u32 tid, SimTime ts) const;
+  /// One ring entry: the compact event and a copy of its arg slots.
+  struct Slot {
+    TraceEvent event{};
+    std::vector<TraceArgSlot> args;  // capacity kept across reuse
+  };
+  struct Lane {
+    u32 tid = 0;
+    std::vector<Slot> ring;  // events_per_lane slots
+    std::size_t head = 0;    // oldest
+    std::size_t count = 0;
+    const Slot& newest() const {
+      return ring[(head + count - 1) % ring.size()];
+    }
+  };
+  enum : u8 { kNotTrigger = 0, kArmed = 1, kFired = 2 };
+  /// Lanes with a tid below this are found by index; others by search.
+  static constexpr u32 kDirectTids = 1024;
+
+  std::size_t LaneIndex(u32 tid) {
+    if (tid < lane_of_tid_.size() && lane_of_tid_[tid] != 0) {
+      return lane_of_tid_[tid] - 1;
+    }
+    return AddLane(tid);
+  }
+  std::size_t AddLane(u32 tid);
+  /// Room for `n` args in `slot` (at least 8, so a slot seldom grows).
+  static void GrowArgs(Slot* slot, std::size_t n);
+  std::string BuildBundle(u64 seq, const Slot& trigger) const;
 
   FlightRecorderConfig config_;
   const MetricRegistry* registry_;
   const TimeSeriesSampler* sampler_;  // may be null
   const TraceRecorder* trace_;
-  std::map<u32, std::deque<std::string>> lanes_;  // pre-rendered events
-  std::set<std::string> fired_;
+  std::vector<Lane> lanes_;
+  std::vector<u32> lane_of_tid_;   // tid -> lanes_ index + 1 (0: none)
+  std::vector<u8> trigger_state_;  // by interned event-name id
+  std::size_t pending_lane_ = 0;   // lane of the trigger OnTrigger builds
   std::vector<Bundle> bundles_;
   Sink sink_;
   u64 next_seq_ = 1;

@@ -1,6 +1,7 @@
 // Cross-layer metrics registry: named, labeled counters / gauges /
 // histograms that components register into, plus pull-style collectors
-// that materialize samples from existing stats structs at snapshot time.
+// that report samples from existing stats structs at snapshot time and
+// at every sampler window.
 //
 // Design constraints (see docs/observability.md):
 //  * Deterministic snapshots — samples are emitted sorted by
@@ -22,9 +23,11 @@
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -116,18 +119,23 @@ struct MetricsSnapshot {
   std::string ToPrometheus() const;
 };
 
-/// Interface collectors use to append samples at snapshot time.
+/// Interface collectors write their samples through. Names, help text
+/// and labels are views valid for the call only: Snapshot() copies them
+/// into Sample structs, while the TimeSeriesSampler resolves each
+/// (name, labels) pair to its dense column and stores just the value.
 class SampleList {
  public:
-  explicit SampleList(std::vector<Sample>* out) : out_(out) {}
+  /// Label pairs in any order (implementations sort them).
+  using Labels =
+      std::initializer_list<std::pair<std::string_view, std::string_view>>;
 
-  void AddCounter(std::string name, LabelSet labels, u64 value,
-                  std::string help = "");
-  void AddGauge(std::string name, LabelSet labels, double value,
-                std::string help = "");
+  virtual void AddCounter(std::string_view name, Labels labels, u64 value,
+                          std::string_view help = {}) = 0;
+  virtual void AddGauge(std::string_view name, Labels labels, double value,
+                        std::string_view help = {}) = 0;
 
- private:
-  std::vector<Sample>* out_;
+ protected:
+  ~SampleList() = default;
 };
 
 class MetricRegistry {
@@ -149,11 +157,12 @@ class MetricRegistry {
                                 const std::string& help = "")
       EDC_EXCLUDES(mu_);
 
-  /// Pull-style source: `fn` is invoked at Snapshot() time to append
-  /// samples computed from live component state (always agrees with the
-  /// component's own stats struct, costs nothing on the hot path).
-  /// `deterministic = false` marks wall-clock/scheduling-dependent
-  /// sources, excluded from snapshots unless requested.
+  /// Pull-style source: `fn` is invoked at Snapshot() time (and by the
+  /// sampler at every window) to append samples computed from live
+  /// component state (always agrees with the component's own stats
+  /// struct, costs nothing on the hot path). `deterministic = false`
+  /// marks wall-clock/scheduling-dependent sources, excluded from
+  /// snapshots and the sampler unless requested.
   using Collector = std::function<void(SampleList&)>;
   /// Returns a handle for RemoveCollector. A component whose lifetime can
   /// end before the registry's (e.g. an engine rebooted against a
@@ -173,6 +182,33 @@ class MetricRegistry {
   /// and may take coarser locks such as WorkerPool's — without deadlock.
   MetricsSnapshot Snapshot(bool include_volatile = false) const
       EDC_EXCLUDES(mu_);
+
+  /// A registered instrument, for readers that fold values themselves
+  /// (the sampler). The pointers stay valid for the registry's lifetime;
+  /// the instrument values are read unlocked, like Snapshot() reads them
+  /// (single writer, see the file comment).
+  struct InstrumentRef {
+    const std::string* name = nullptr;
+    const LabelSet* labels = nullptr;  // sorted
+    MetricType type = MetricType::kCounter;
+    const Counter* counter = nullptr;
+    const Gauge* gauge = nullptr;
+    const HistogramMetric* histogram = nullptr;
+  };
+  /// Instruments registered so far; only ever grows.
+  std::size_t instrument_count() const EDC_EXCLUDES(mu_);
+  /// Every instrument in (name, labels) order.
+  void ListInstruments(std::vector<InstrumentRef>* out) const
+      EDC_EXCLUDES(mu_);
+
+  /// Collectors copied out of the registry for one pass; the caller owns
+  /// it so a repeated pass reuses its storage.
+  using CollectorList = std::vector<std::shared_ptr<const Collector>>;
+  /// Run the deterministic collectors (all of them with
+  /// include_volatile) into `out`, in registration order, with mu_
+  /// released — the same pass Snapshot() makes.
+  void RunCollectors(SampleList& out, CollectorList* scratch,
+                     bool include_volatile = false) const EDC_EXCLUDES(mu_);
 
   /// First registration-type conflict, if any (empty string = none).
   /// Returned by value: the stored string is guarded by mu_.
@@ -202,7 +238,7 @@ class MetricRegistry {
     std::unique_ptr<HistogramMetric> histogram;
   };
   struct CollectorEntry {
-    Collector fn;
+    std::shared_ptr<const Collector> fn;
     bool deterministic;
     u64 id;
   };
@@ -222,17 +258,32 @@ class MetricRegistry {
   std::string error_ EDC_GUARDED_BY(mu_);
 };
 
-/// Shortest deterministic text form of a double: integers print without a
-/// fraction, everything else round-trips via %.17g. Shared by both
-/// exporters so JSON and Prometheus agree on values.
+/// Shortest deterministic text form of a double: integers below 1e15
+/// print without a fraction (%.0f), everything else round-trips via
+/// %.17g; NaN and infinities print as NaN / +Inf / -Inf. Shared by every
+/// exporter so JSON, CSV and Prometheus agree on values.
 std::string FormatDouble(double v);
 
 /// JSON string escaping (quotes, backslash, control characters).
-std::string JsonEscape(const std::string& s);
+std::string JsonEscape(std::string_view s);
 
 /// A double as a JSON value token: FormatDouble for finite values,
 /// quoted "NaN"/"+Inf"/"-Inf" for non-finite ones (bare tokens are not
 /// valid JSON). Shared by every obs JSON exporter.
 std::string JsonNumber(double v);
+
+// Append-only forms of the above, which every exporter renders through:
+// each writes its text at the end of `out` and builds no temporary.
+void AppendDouble(std::string* out, double v);
+void AppendJsonNumber(std::string* out, double v);
+void AppendJsonEscaped(std::string* out, std::string_view s);
+void AppendUint(std::string* out, u64 v);
+void AppendInt(std::string* out, i64 v);
+/// `"k":"v",...` for the JSON exporters' "labels" objects.
+void AppendJsonLabels(std::string* out, const LabelSet& labels);
+
+/// Longest text AppendDouble / AppendJsonNumber / AppendUint / AppendInt
+/// can write, for exporters that reserve their buffer up front.
+inline constexpr std::size_t kMaxNumberChars = 26;
 
 }  // namespace edc::obs

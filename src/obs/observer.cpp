@@ -16,9 +16,8 @@ Observer::Observer(const Options& options)
     // dashboards off the backend name without schema changes.
     registry_.AddCollector([](SampleList& out) {
       out.AddGauge("edc_codec_backend_active",
-                   {{std::string("backend"),
-                     std::string(SimdTierName(ActiveSimdTier()))}},
-                   1.0, "Selected SIMD codec backend (1 = active)");
+                   {{"backend", SimdTierName(ActiveSimdTier())}}, 1.0,
+                   "Selected SIMD codec backend (1 = active)");
     });
   }
 

@@ -1,32 +1,48 @@
 // TimeSeriesSampler: continuous, windowed telemetry over a MetricRegistry.
 //
-// The sampler snapshots the registry on a fixed SimTime cadence and folds
-// every sample into a columnar store: one column (series) per
-// (name, labels) pair, one row per completed window. Counters are
-// delta-encoded (each window holds the increment inside that window);
-// gauges hold their value at the window boundary; histograms are reduced
-// to four derived gauge/counter columns — `<name>:count`, `<name>:sum`
-// (per-window deltas) and `<name>:p50` / `<name>:p99` (quantiles of the
-// observations that landed *inside* the window, NaN for empty windows) —
-// so per-class latency percentiles exist as first-class time series the
-// HealthWatchdog can evaluate.
+// The sampler reads the registry on a fixed SimTime cadence and folds
+// every series into a columnar store: one column per (name, labels) pair,
+// one row per completed window. Counters are delta-encoded (each window
+// holds the increment inside that window); gauges hold their value at the
+// window boundary; histograms are reduced to four derived gauge/counter
+// columns — `<name>:count`, `<name>:sum` (per-window deltas) and
+// `<name>:p50` / `<name>:p99` (quantiles of the observations that landed
+// *inside* the window, NaN for empty windows) — so per-class latency
+// percentiles exist as first-class time series the HealthWatchdog can
+// evaluate.
+//
+// Dense slots: every column has a dense id, assigned when a registry
+// instrument first shows up, when a collector first emits its
+// (name, labels) pair, and for each histogram's four derived columns.
+// Closing a window reads the instruments through stable pointers and
+// lets the collectors write straight into the new row (a collector's
+// n-th emission is checked against the column it resolved to last time,
+// so no string key is built or looked up). Rows live in fixed-size
+// blocks, so the store grows a block at a time without copying (only a
+// new column re-lays the rows). Each counter keeps its running level
+// and the last window it changed in, so LevelAt at any window since that
+// change is a read. The sorted (name, labels) export order is kept up to
+// date as columns are added. Strings are rendered only by the exporters,
+// which append into one buffer reserved up front.
 //
 // Determinism: windows close at exact multiples of the period, every
-// value is derived from the deterministic registry snapshot, and the
-// JSON/CSV exports render through the same stable formatters as the
-// metrics exporters — two replays with the same seed produce
-// byte-identical `edc-timeseries-v1` documents.
+// value is derived from deterministic registry state, and the JSON/CSV
+// exports render through the same stable formatters as the metrics
+// exporters — two replays with the same seed produce byte-identical
+// `edc-timeseries-v1` documents.
 //
-// Retention is a bounded ring: with retention_windows = R only the most
-// recent R windows stay resident (first_retained() advances as old rows
-// are dropped), so a week-long replay samples in O(series × R) memory.
+// Retention is a ring: with retention_windows = R the store holds R rows
+// and each new window overwrites the oldest (first_retained() advances),
+// so a week-long replay samples in O(series × R) memory.
 //
 // Thread contract: like the engine, the sampler is thread-confined — all
 // calls must come from the (single) simulation thread. The registry
-// snapshot it takes is internally synchronized.
+// calls it makes are internally synchronized.
 #pragma once
 
+#include <deque>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,6 +63,9 @@ class TimeSeriesSampler {
   /// `registry` must outlive the sampler.
   TimeSeriesSampler(const SamplerConfig& config,
                     const MetricRegistry* registry);
+  // Series point back at their sampler.
+  TimeSeriesSampler(const TimeSeriesSampler&) = delete;
+  TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
 
   /// Complete every window whose end is <= now (simulated time). Call
   /// before processing each request; costs one boundary compare when no
@@ -64,22 +83,29 @@ class TimeSeriesSampler {
   u64 windows_completed() const { return windows_completed_; }
   /// Absolute index of the oldest retained window.
   u64 first_retained() const { return first_retained_; }
-  std::size_t retained() const { return window_ends_.size(); }
+  std::size_t retained() const { return retained_; }
   /// End timestamp of retained window `w` (absolute index).
   SimTime WindowEnd(u64 w) const;
 
-  /// One column of the store. `values` holds one entry per retained
-  /// window: per-window deltas for counters, boundary values for gauges.
-  struct Series {
+  /// One column of the store: per-window deltas for counters, boundary
+  /// values for gauges, one entry per retained window.
+  class Series {
+   public:
     std::string name;  // derived histogram columns carry a ":pXX" suffix
     LabelSet labels;
-    bool counter = false;     // true: values are per-window deltas
-    double cumulative = 0;    // counters: cumulative value at last window
-    std::vector<double> values;
+    bool counter = false;  // true: values are per-window deltas
 
-    /// Value usable for threshold rules at retained window `rel` (index
-    /// into `values`): cumulative-so-far for counters, the boundary value
-    /// for gauges.
+    /// Retained windows (the same for every series).
+    std::size_t size() const;
+    /// Value at retained window `rel` (index into the retained range).
+    double ValueAt(std::size_t rel) const;
+    /// Every retained value, oldest first.
+    std::vector<double> values() const;
+    /// Counters: cumulative value at the last completed window.
+    double cumulative() const;
+
+    /// Value usable for threshold rules at retained window `rel`:
+    /// cumulative-so-far for counters, the boundary value for gauges.
     double LevelAt(std::size_t rel) const;
     /// Per-window change at `rel`: the delta for counters, the
     /// difference from the previous window for gauges.
@@ -87,8 +113,10 @@ class TimeSeriesSampler {
 
    private:
     friend class TimeSeriesSampler;
-    bool quantile = false;          // derived :pXX column (NaN filler)
-    std::vector<u64> last_buckets;  // histogram :count columns only
+    const TimeSeriesSampler* owner_ = nullptr;
+    u32 col_ = 0;
+    std::string json_head_;  // {"name":...,"values":[ of the JSON export
+    std::string csv_head_;   // the CSV header cell
   };
 
   /// Null when the series never appeared. Derived histogram columns are
@@ -98,16 +126,24 @@ class TimeSeriesSampler {
 
   /// All series, sorted by (name, labels) — the export column order.
   std::vector<const Series*> AllSeries() const;
+  /// Number of series; grows only (the watchdog re-resolves rules on a
+  /// change).
+  std::size_t series_count() const { return series_.size(); }
 
   /// {"schema":"edc-timeseries-v1",...} — docs/observability.md has the
   /// full schema. `last_n` = 0 exports every retained window; otherwise
   /// only the most recent `last_n` (the flight recorder's bundle view).
   std::string ToJson(std::size_t last_n = 0) const;
+  /// ToJson's document appended to `out`.
+  void AppendJson(std::string* out, std::size_t last_n = 0) const;
 
   /// One row per window: `window,end_ns,<column per series>`.
   std::string ToCsv() const;
 
  private:
+  class Emitter;  // SampleList that collectors write columns through
+  enum class Kind : u8 { kCounter, kGauge, kQuantile };
+
   struct Key {
     std::string name;
     LabelSet labels;
@@ -116,33 +152,87 @@ class TimeSeriesSampler {
       return labels < o.labels;
     }
   };
+  /// A registry instrument and the column (counter, gauge) or histogram
+  /// state (histogram) it folds into.
+  struct Instrument {
+    MetricRegistry::InstrumentRef ref;
+    u32 target = 0;
+  };
+  struct Histogram {
+    const HistogramMetric* metric = nullptr;
+    u32 count = 0, sum = 0, p50 = 0, p99 = 0;  // columns
+    std::vector<u64> last_buckets;
+  };
 
   SimTime NextBoundary() const {
     return static_cast<SimTime>(windows_completed_ + 1) * config_.period;
   }
+  std::size_t Slot(u64 w) const {
+    return static_cast<std::size_t>(
+        config_.retention_windows > 0 ? w % config_.retention_windows : w);
+  }
+  /// The store cell of window `w` (absolute index), column `col`.
+  double& Cell(u64 w, u32 col) const {
+    const std::size_t slot = Slot(w);
+    return blocks_[slot / kBlockRows][slot % kBlockRows * stride_ + col];
+  }
 
-  /// Fold one registry snapshot into a window ending at `end`. Only the
-  /// first of a run of simultaneously-closed windows carries deltas;
-  /// `empty` marks the replicas (no state changed inside them).
-  void AppendWindow(const MetricsSnapshot& snap, SimTime end, bool empty);
+  /// Add a row for the window just counted in windows_completed_: counter
+  /// deltas 0, quantiles NaN, gauges held from the previous window. The
+  /// first of a run of simultaneously-closed windows then folds the
+  /// registry (`fold`); the rest are replicas (no state changed inside
+  /// them).
+  void AppendWindow(SimTime end, bool fold);
+  void BeginRow(SimTime end);
+  void AddBlock();
+  /// Re-lay every row with `stride` cells.
+  void SetStride(std::size_t stride);
+  /// Read every instrument and collector into the newest row.
+  void Fold();
+  void SyncInstruments();
+  void FoldHistogram(Histogram& h);
+  void FoldCounter(u32 col, double v);
+  void FoldGauge(u32 col, double v);
 
-  Series* FindOrCreate(const std::string& name, const LabelSet& labels,
-                       bool counter, bool quantile = false);
+  /// Column of (name, labels), created on first sight with `kind`.
+  u32 Column(const std::string& name, const LabelSet& labels, Kind kind);
+  u32 AddColumn(Key key, Kind kind);
 
   /// Quantile of the observations inside one window, from per-bucket
   /// deltas (Prometheus-style linear interpolation; NaN when the window
   /// saw no observations).
   static double WindowQuantile(const std::vector<double>& bounds,
-                               const std::vector<u64>& delta_counts,
+                               const u64* delta_counts, std::size_t n,
                                double q);
 
   SamplerConfig config_;
   const MetricRegistry* registry_;
   u64 windows_completed_ = 0;
   u64 first_retained_ = 0;
+  std::size_t retained_ = 0;
   bool finalized_ = false;
-  std::vector<SimTime> window_ends_;  // aligned with retained windows
-  std::map<Key, Series> series_;
+
+  // Column catalogue (by dense id).
+  std::deque<Series> series_;
+  std::vector<Kind> kind_;
+  std::vector<double> cumulative_;
+  std::vector<u64> changed_;  // newest window with a non-zero value
+  std::map<Key, u32> index_;
+  std::vector<u32> order_;  // ids in (name, labels) order
+
+  // Row store: the row of window w is row Slot(w), stride_ cells wide,
+  // in blocks of kBlockRows rows.
+  static constexpr std::size_t kBlockRows = 256;
+  std::size_t stride_ = 0;
+  std::vector<std::unique_ptr<double[]>> blocks_;
+  std::vector<SimTime> ends_;  // by row
+
+  // Fold state.
+  std::vector<Instrument> instruments_;
+  std::vector<Histogram> histograms_;
+  MetricRegistry::CollectorList collectors_;
+  std::vector<u32> emitted_;  // collector emission n -> its column
+  std::vector<u64> delta_;    // histogram bucket deltas
 };
 
 }  // namespace edc::obs

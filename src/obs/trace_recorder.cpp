@@ -1,36 +1,29 @@
 #include "obs/trace_recorder.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
-#include "obs/metrics.hpp"  // JsonEscape, FormatDouble
+#include "common/check.hpp"
+#include "obs/metrics.hpp"  // the shared append-only formatters
 
 namespace edc::obs {
-
-std::string FormatTraceTsUs(SimTime ns) {
-  bool neg = ns < 0;
-  u64 abs = neg ? static_cast<u64>(-ns) : static_cast<u64>(ns);
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%s%llu.%03llu", neg ? "-" : "",
-                static_cast<unsigned long long>(abs / 1000),
-                static_cast<unsigned long long>(abs % 1000));
-  return buf;
-}
-
 namespace {
 
-void AppendArgValue(std::string* out, const TraceArg& arg) {
-  struct Visitor {
-    std::string* out;
-    void operator()(u64 v) { *out += std::to_string(v); }
-    void operator()(i64 v) { *out += std::to_string(v); }
-    void operator()(double v) { *out += JsonNumber(v); }
-    void operator()(const std::string& v) {
-      *out += "\"" + JsonEscape(v) + "\"";
-    }
-    void operator()(bool v) { *out += v ? "true" : "false"; }
-  };
-  std::visit(Visitor{out}, arg.value);
+/// SimTime nanoseconds as microseconds with exactly three fraction
+/// digits — integer math only, so the text is deterministic.
+void AppendTsUs(std::string* out, SimTime ns) {
+  const bool neg = ns < 0;
+  const u64 abs = neg ? 0 - static_cast<u64>(ns) : static_cast<u64>(ns);
+  char buf[32];
+  char* p = buf;
+  if (neg) *p++ = '-';
+  p = std::to_chars(p, buf + sizeof buf, abs / 1000).ptr;
+  const u64 frac = abs % 1000;
+  p[0] = '.';
+  p[1] = static_cast<char>('0' + frac / 100);
+  p[2] = static_cast<char>('0' + frac / 10 % 10);
+  p[3] = static_cast<char>('0' + frac % 10);
+  out->append(buf, p + 4);
 }
 
 std::vector<std::string> ParseFilter(const std::string& filter) {
@@ -51,17 +44,21 @@ std::vector<std::string> ParseFilter(const std::string& filter) {
 
 }  // namespace
 
-void AppendTraceArgs(std::string* out, const TraceArgs& args) {
-  if (args.empty()) return;
-  *out += ",\"args\":{";
-  bool first = true;
-  for (const TraceArg& a : args) {
-    if (!first) *out += ',';
-    first = false;
-    *out += "\"" + JsonEscape(a.key) + "\":";
-    AppendArgValue(out, a);
+u32 TraceRecorder::InternTable::InternSlow(std::string_view s) {
+  u32 id;
+  auto it = index_.find(s);
+  if (it != index_.end()) {
+    id = it->second;
+  } else {
+    id = static_cast<u32>(entries_.size());
+    Entry& e = entries_.emplace_back();
+    e.text = s;
+    e.json = JsonEscape(s);
+    index_.emplace(e.text, id);
   }
-  *out += "}";
+  recent_[RecentSlot(s)] =
+      Recent{s.data(), s.size(), entries_[id].text.data(), id};
+  return id;
 }
 
 TraceRecorder::TraceRecorder(const std::string& filter)
@@ -72,41 +69,69 @@ bool TraceRecorder::Enabled(std::string_view cat) const {
   return std::find(filter_.begin(), filter_.end(), cat) != filter_.end();
 }
 
-void TraceRecorder::Span(std::string name, std::string_view cat, u32 tid,
-                         SimTime start, SimTime end, TraceArgs args) {
-  if (tap_ != nullptr) {
-    tap_->OnTraceEvent('X', name, cat, tid, start,
-                       end >= start ? end - start : 0, args);
-  }
-  if (!Enabled(cat)) return;
-  Event e;
-  e.name = std::move(name);
-  e.cat = std::string(cat);
-  e.phase = 'X';
-  e.tid = tid;
-  e.ts = start;
-  e.dur = end >= start ? end - start : 0;
-  e.args = std::move(args);
-  sync::MutexLock lock(&mu_);
-  events_.push_back(std::move(e));
+bool TraceRecorder::ResolveCategory(u32 cat) {
+  if (cat_state_.size() <= cat) cat_state_.resize(cat + 1, kCatUnknown);
+  const bool on = Enabled(strings_.text(cat));
+  cat_state_[cat] = on ? kCatOn : kCatOff;
+  return on;
 }
 
-void TraceRecorder::Instant(std::string name, std::string_view cat,
-                            u32 tid, SimTime ts, TraceArgs args) {
-  if (tap_ != nullptr) {
-    tap_->OnTraceEvent('i', name, cat, tid, ts, 0, args);
+EDC_HOT void TraceRecorder::Record(char phase, std::string_view name,
+                                   std::string_view cat, u32 tid,
+                                   SimTime ts, SimTime dur, TraceArgs args) {
+  EDC_CHECK(args.size() <= 0xFFFF);
+  TraceEventTap* const tap = tap_;
+  bool triggered = false;
+  {
+    sync::MutexLock lock(&mu_);
+    TraceEvent e{};
+    e.cat = strings_.Intern(cat);
+    const bool keep = CategoryEnabled(e.cat);
+    if (!keep && tap == nullptr) return;
+    e.ts = ts;
+    e.dur = dur;
+    e.name = strings_.Intern(name);
+    e.tid = tid;
+    e.nargs = static_cast<u16>(args.size());
+    e.phase = phase;
+    // The args are written at the arena's end either way; they are kept
+    // (committed) only when the event passes the filter.
+    TraceArgSlot* slots = ClaimArgs(args.size());
+    TraceArgSlot* slot = slots;
+    for (const TraceArg& a : args) {
+      slot->key = strings_.Intern(a.key);
+      slot->kind = a.kind;
+      switch (a.kind) {
+        case TraceArg::Kind::kU64: slot->u = a.u; break;
+        case TraceArg::Kind::kI64: slot->i = a.i; break;
+        case TraceArg::Kind::kDouble: slot->d = a.d; break;
+        case TraceArg::Kind::kString: slot->str = strings_.Intern(a.s); break;
+        case TraceArg::Kind::kBool: slot->b = a.b; break;
+      }
+      ++slot;
+    }
+    if (tap != nullptr) triggered = tap->OnTraceEvent(e, slots);
+    if (keep) {
+      if (event_count_ % kEventChunk == 0) NewEventChunk();
+      event_chunks_.back()[event_count_ % kEventChunk] = Stored{e, slots};
+      ++event_count_;
+      args_used_ += args.size();
+    }
   }
-  if (!Enabled(cat)) return;
-  Event e;
-  e.name = std::move(name);
-  e.cat = std::string(cat);
-  e.phase = 'i';
-  e.tid = tid;
-  e.ts = ts;
-  e.dur = 0;
-  e.args = std::move(args);
-  sync::MutexLock lock(&mu_);
-  events_.push_back(std::move(e));
+  if (triggered) tap->OnTrigger();
+}
+
+TraceArgSlot* TraceRecorder::NewArgChunk(std::size_t n) {
+  args_cap_ = std::max(n, kArgChunk);
+  args_chunks_.push_back(std::unique_ptr<TraceArgSlot[]>(
+      new TraceArgSlot[args_cap_]));  // left unwritten until claimed
+  args_used_ = 0;
+  return args_chunks_.back().get();
+}
+
+void TraceRecorder::NewEventChunk() {
+  event_chunks_.push_back(
+      std::unique_ptr<Stored[]>(new Stored[kEventChunk]));
 }
 
 void TraceRecorder::NameThread(u32 tid, std::string name) {
@@ -128,34 +153,114 @@ std::vector<std::pair<u32, std::string>> TraceRecorder::ThreadNames()
   return names;
 }
 
+u32 TraceRecorder::Intern(std::string_view s) {
+  sync::MutexLock lock(&mu_);
+  return strings_.Intern(s);
+}
+
+std::string_view TraceRecorder::Text(u32 id) const {
+  sync::MutexLock lock(&mu_);
+  return strings_.text(id);
+}
+
+std::string_view TraceRecorder::JsonText(u32 id) const {
+  sync::MutexLock lock(&mu_);
+  return strings_.json(id);
+}
+
+void TraceRecorder::AppendEventJson(std::string* out, const TraceEvent& e,
+                                    const TraceArgSlot* args) const {
+  sync::MutexLock lock(&mu_);
+  AppendEvent(out, e, args);
+}
+
+void TraceRecorder::AppendEvent(std::string* out, const TraceEvent& e,
+                                const TraceArgSlot* args) const {
+  out->append("{\"name\":\"");
+  out->append(strings_.json(e.name));
+  out->append("\",\"cat\":\"");
+  out->append(strings_.json(e.cat));
+  out->append("\",\"ph\":\"");
+  out->push_back(e.phase);
+  out->append("\",\"pid\":1,\"tid\":");
+  AppendUint(out, e.tid);
+  out->append(",\"ts\":");
+  AppendTsUs(out, e.ts);
+  if (e.phase == 'X') {
+    out->append(",\"dur\":");
+    AppendTsUs(out, e.dur);
+  }
+  if (e.phase == 'i') out->append(",\"s\":\"t\"");
+  if (e.nargs != 0) {
+    out->append(",\"args\":{");
+    for (u32 i = 0; i < e.nargs; ++i) {
+      const TraceArgSlot& a = args[i];
+      if (i != 0) out->push_back(',');
+      out->push_back('"');
+      out->append(strings_.json(a.key));
+      out->append("\":");
+      switch (a.kind) {
+        case TraceArg::Kind::kU64: AppendUint(out, a.u); break;
+        case TraceArg::Kind::kI64: AppendInt(out, a.i); break;
+        case TraceArg::Kind::kDouble: AppendJsonNumber(out, a.d); break;
+        case TraceArg::Kind::kString:
+          out->push_back('"');
+          out->append(strings_.json(a.str));
+          out->push_back('"');
+          break;
+        case TraceArg::Kind::kBool:
+          out->append(a.b ? "true" : "false");
+          break;
+      }
+    }
+    out->push_back('}');
+  }
+  out->push_back('}');
+}
+
+std::size_t TraceRecorder::JsonBound(const TraceEvent& e,
+                                     const TraceArgSlot* args) const {
+  // Fixed text, tid, ts and dur, then each arg's key and value.
+  std::size_t n = 96 + strings_.json(e.name).size() +
+                  strings_.json(e.cat).size() + 3 * kMaxNumberChars;
+  for (u32 i = 0; i < e.nargs; ++i) {
+    n += 6 + strings_.json(args[i].key).size() +
+         (args[i].kind == TraceArg::Kind::kString
+              ? strings_.json(args[i].str).size()
+              : kMaxNumberChars);
+  }
+  return n;
+}
+
 std::string TraceRecorder::ToJson() const {
   sync::MutexLock lock(&mu_);
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
   auto names = thread_names_;
   std::sort(names.begin(), names.end());
-  out += "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
-         "\"args\":{\"name\":\"edc\"}}";
-  first = false;
+  std::size_t bound = 256;
+  for (const auto& [tid, name] : names) bound += 96 + 6 * name.size();
+  for (std::size_t i = 0; i < event_count_; ++i) {
+    const Stored& s = event_chunks_[i / kEventChunk][i % kEventChunk];
+    bound += JsonBound(s.event, s.args);
+  }
+  std::string out;
+  out.reserve(bound);
+  out.append(
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":["
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,"
+      "\"args\":{\"name\":\"edc\"}}");
   for (const auto& [tid, name] : names) {
-    out += ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":" +
-           std::to_string(tid) + ",\"args\":{\"name\":\"" +
-           JsonEscape(name) + "\"}}";
+    out.append(",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":");
+    AppendUint(&out, tid);
+    out.append(",\"args\":{\"name\":\"");
+    AppendJsonEscaped(&out, name);
+    out.append("\"}}");
   }
-  for (const Event& e : events_) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(e.name) + "\",\"cat\":\"" +
-           JsonEscape(e.cat) + "\",\"ph\":\"";
-    out += e.phase;
-    out += "\",\"pid\":1,\"tid\":" + std::to_string(e.tid) +
-           ",\"ts\":" + FormatTraceTsUs(e.ts);
-    if (e.phase == 'X') out += ",\"dur\":" + FormatTraceTsUs(e.dur);
-    if (e.phase == 'i') out += ",\"s\":\"t\"";
-    AppendTraceArgs(&out, e.args);
-    out += "}";
+  for (std::size_t i = 0; i < event_count_; ++i) {
+    const Stored& s = event_chunks_[i / kEventChunk][i % kEventChunk];
+    out.push_back(',');
+    AppendEvent(&out, s.event, s.args);
   }
-  out += "]}";
+  out.append("]}");
   return out;
 }
 

@@ -237,10 +237,10 @@ HealthWatchdog::HealthWatchdog(std::vector<HealthRule> rules,
   }
 }
 
-double HealthWatchdog::Evaluate(const HealthRule& rule, std::size_t rel,
-                                bool* breach) const {
-  const TimeSeriesSampler::Series* s =
-      sampler_->Find(rule.series, rule.labels);
+double HealthWatchdog::Evaluate(const State& state, std::size_t rel,
+                                bool* breach) {
+  const HealthRule& rule = state.rule;
+  const TimeSeriesSampler::Series* s = state.series;
   switch (rule.kind) {
     case HealthRule::Kind::kThreshold: {
       double v = s != nullptr ? s->LevelAt(rel) : kNaN;
@@ -274,10 +274,19 @@ void HealthWatchdog::OnWindow(u64 window) {
   any_window_ = true;
   last_window_ = window;
   ++windows_evaluated_;
+  if (sampler_->series_count() != series_seen_) {
+    // New series appeared: resolve the rules still waiting for theirs.
+    series_seen_ = sampler_->series_count();
+    for (State& s : states_) {
+      if (s.series == nullptr) {
+        s.series = sampler_->Find(s.rule.series, s.rule.labels);
+      }
+    }
+  }
   SimTime ts = sampler_->WindowEnd(window);
   for (State& s : states_) {
     bool breach = false;
-    double v = Evaluate(s.rule, rel, &breach);
+    double v = Evaluate(s, rel, &breach);
     s.last_value = v;
     if (breach) {
       ++s.streak;
@@ -319,34 +328,52 @@ bool HealthWatchdog::Report::healthy() const {
 }
 
 std::string HealthWatchdog::Report::ToJson() const {
-  std::string out = "{\"schema\":\"edc-health-v1\",\"windows\":" +
-                    std::to_string(windows_evaluated) + ",\"healthy\":";
-  out += healthy() ? "true" : "false";
-  out += ",\"events\":[";
+  std::size_t bound = 96;
+  for (const Event& e : events) bound += 96 + 6 * e.rule.size();
+  for (const RuleState& r : rules) bound += 128 + 6 * r.name.size();
+  std::string out;
+  out.reserve(bound);
+  out.append("{\"schema\":\"edc-health-v1\",\"windows\":");
+  AppendUint(&out, windows_evaluated);
+  out.append(",\"healthy\":");
+  out.append(healthy() ? "true" : "false");
+  out.append(",\"events\":[");
   bool first = true;
   for (const Event& e : events) {
-    if (!first) out += ',';
+    if (!first) out.push_back(',');
     first = false;
-    out += "{\"window\":" + std::to_string(e.window) +
-           ",\"ts_ns\":" + std::to_string(e.ts) + ",\"rule\":\"" +
-           JsonEscape(e.rule) + "\",\"type\":\"";
-    out += e.alert ? "alert" : "clear";
-    out += "\",\"value\":" + JsonNumber(e.value) + "}";
+    out.append("{\"window\":");
+    AppendUint(&out, e.window);
+    out.append(",\"ts_ns\":");
+    AppendInt(&out, e.ts);
+    out.append(",\"rule\":\"");
+    AppendJsonEscaped(&out, e.rule);
+    out.append("\",\"type\":\"");
+    out.append(e.alert ? "alert" : "clear");
+    out.append("\",\"value\":");
+    AppendJsonNumber(&out, e.value);
+    out.push_back('}');
   }
-  out += "],\"rules\":[";
+  out.append("],\"rules\":[");
   first = true;
   for (const RuleState& r : rules) {
-    if (!first) out += ',';
+    if (!first) out.push_back(',');
     first = false;
-    out += "{\"name\":\"" + JsonEscape(r.name) + "\",\"kind\":\"";
-    out += KindName(r.kind);
-    out += "\",\"active\":";
-    out += r.active ? "true" : "false";
-    out += ",\"alerts\":" + std::to_string(r.alerts) +
-           ",\"clears\":" + std::to_string(r.clears) +
-           ",\"last_value\":" + JsonNumber(r.last_value) + "}";
+    out.append("{\"name\":\"");
+    AppendJsonEscaped(&out, r.name);
+    out.append("\",\"kind\":\"");
+    out.append(KindName(r.kind));
+    out.append("\",\"active\":");
+    out.append(r.active ? "true" : "false");
+    out.append(",\"alerts\":");
+    AppendUint(&out, r.alerts);
+    out.append(",\"clears\":");
+    AppendUint(&out, r.clears);
+    out.append(",\"last_value\":");
+    AppendJsonNumber(&out, r.last_value);
+    out.push_back('}');
   }
-  out += "]}";
+  out.append("]}");
   return out;
 }
 

@@ -31,6 +31,8 @@
 // derived from sampler windows, so alerts are byte-identical across
 // reruns. The end-of-run Report (embedded in sim::ReplayResult) lists
 // every event and final rule state, exportable as `edc-health-v1` JSON.
+// Each rule resolves its series once the sampler has it and then reads
+// that column's slot for every window.
 //
 // Thread contract: thread-confined to the simulation thread.
 #pragma once
@@ -113,6 +115,7 @@ class HealthWatchdog {
  private:
   struct State {
     HealthRule rule;
+    const TimeSeriesSampler::Series* series = nullptr;  // once it exists
     u64 streak = 0;
     bool active = false;
     u64 alerts = 0;
@@ -124,11 +127,11 @@ class HealthWatchdog {
 
   /// The rule's evaluated value at retained window `rel` (NaN when the
   /// series is missing — except absent(), which evaluates presence).
-  double Evaluate(const HealthRule& rule, std::size_t rel,
-                  bool* breach) const;
+  static double Evaluate(const State& s, std::size_t rel, bool* breach);
 
   std::vector<State> states_;
   const TimeSeriesSampler* sampler_;
+  std::size_t series_seen_ = 0;  // sampler series count at last resolve
   TraceRecorder* trace_;  // may be null
   u64 windows_evaluated_ = 0;
   u64 last_window_ = 0;

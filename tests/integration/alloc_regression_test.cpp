@@ -12,6 +12,11 @@
 // the allocations made on the dispatcher thread (a thread-local counter):
 // the shard run loops own their engines and are not part of this contract.
 //
+// Telemetry is pinned too: recording trace events (with the flight
+// recorder's tap), closing sampler windows and running the watchdog may
+// allocate only to grow an arena or the column store, not per event or
+// per window.
+//
 // The binary is its own test target so the hook cannot perturb other
 // suites, and it skips itself under sanitizers (their runtimes intercept
 // malloc and the counts would be meaningless).
@@ -26,6 +31,7 @@
 #include "common/crc32.hpp"
 #include "edc/mapping.hpp"
 #include "edc/shard.hpp"
+#include "obs/observer.hpp"
 #include "testutil.hpp"
 
 #if !defined(EDC_SANITIZE_BUILD)
@@ -194,6 +200,139 @@ TEST(AllocRegression, ShardedDispatchIsAllocationFree) {
   EXPECT_EQ(after - before, 0u)
       << "the dispatcher allocated " << (after - before) << " times over "
       << n << " Submits and a Drain";
+}
+
+// One request's worth of trace events in the shape a functional Fin2
+// replay records (82% reads; about 4 events and 2.5 args per event).
+// Returns the number of events recorded.
+u64 RecordFin2Request(obs::TraceRecorder* trace, u64 i, SimTime t) {
+  const u64 lba = i * 7919 % 100000;
+  const u64 group = i % 5000;
+  if (i % 5 == 0) {
+    trace->Instant("policy.select", "policy", obs::kHostTid, t,
+                   {{"lba", lba},
+                    {"blocks", 1u},
+                    {"calculated_iops", 1234.5},
+                    {"est_fraction", 0.42},
+                    {"codec", codec::CodecName(codec::CodecId::kLzf)},
+                    {"skipped_content", false},
+                    {"skipped_intensity", false},
+                    {"breaker_open", false}});
+    trace->Instant("alloc.place", "alloc", obs::kHostTid, t,
+                   {{"group", group},
+                    {"quanta", 2u},
+                    {"stored_bytes", u64{2048}},
+                    {"start_quantum", lba * 2}});
+    trace->Span("flash.program", "device", obs::kDeviceTid, t, t + 90,
+                {{"first_page", lba}, {"pages", u64{1}}});
+    trace->Span("host.write", "host", obs::kHostTid, t, t + 120,
+                {{"offset", lba * 4096}, {"size", 4096u}});
+    return 4;
+  }
+  if (i % 3 == 0) {
+    trace->Instant("cache.hit", "cache", obs::kHostTid, t,
+                   {{"group", group}});
+    trace->Span("host.read", "host", obs::kHostTid, t, t,
+                {{"offset", lba * 4096}, {"size", 4096u}});
+    return 2;
+  }
+  trace->Instant("cache.miss", "cache", obs::kHostTid, t,
+                 {{"group", group}});
+  trace->Span("flash.read", "device", obs::kDeviceTid, t, t + 50,
+              {{"first_page", lba}, {"pages", u64{1}}, {"group", group}});
+  trace->Span("codec.decompress", "codec", obs::kCpuTidBase, t + 50, t + 60,
+              {{"codec", codec::CodecName(codec::CodecId::kLzf)},
+               {"orig_bytes", u64{4096}},
+               {"group", group}});
+  trace->Span("host.read", "host", obs::kHostTid, t, t + 60,
+              {{"offset", lba * 4096}, {"size", 4096u}});
+  return 4;
+}
+
+TEST(AllocRegression, TelemetryIsAllocationFree) {
+#if defined(EDC_SANITIZE_BUILD)
+  GTEST_SKIP() << "allocation counting is meaningless under sanitizers";
+#endif
+  obs::Observer::Options oo;
+  oo.sampler = true;
+  oo.sample_period = kMillisecond;
+  oo.flight_recorder = true;
+  oo.health_rules = obs::DefaultHealthRules();
+  obs::Observer observer(oo);
+  ASSERT_TRUE(observer.ok()) << observer.error();
+  obs::MetricRegistry* m = observer.metrics();
+  obs::TraceRecorder* trace = observer.trace();
+
+  // Engine-shaped registry: latency histograms, a gauge, and a pull
+  // collector with labeled series.
+  obs::HistogramMetric* write_lat = m->GetHistogram(
+      "edc_write_latency_us", {}, obs::LatencyBoundsUs(), "Write latency");
+  obs::HistogramMetric* read_lat = m->GetHistogram(
+      "edc_read_latency_us", {}, obs::LatencyBoundsUs(), "Read latency");
+  obs::Gauge* breaker = m->GetGauge("edc_breaker_open", {}, "Breaker");
+  struct Stats {
+    u64 writes = 0, reads = 0, skipped = 0;
+    u64 by_codec[codec::kMaxCodecId + 1] = {};
+    double ratio = 1.0;
+  } stats;
+  m->AddCollector([&stats](obs::SampleList& out) {
+    out.AddCounter("edc_host_writes_total", {}, stats.writes, "Writes");
+    out.AddCounter("edc_host_reads_total", {}, stats.reads, "Reads");
+    out.AddCounter("edc_blocks_skipped_total", {{"reason", "content"}},
+                   stats.skipped, "Skipped blocks");
+    out.AddCounter("edc_blocks_skipped_total", {{"reason", "intensity"}},
+                   stats.skipped / 2, "Skipped blocks");
+    for (std::size_t c = 0; c <= codec::kMaxCodecId; ++c) {
+      out.AddCounter(
+          "edc_groups_by_codec_total",
+          {{"codec", codec::CodecName(static_cast<codec::CodecId>(c))}},
+          stats.by_codec[c], "Groups per codec");
+    }
+    out.AddGauge("edc_compression_ratio", {}, stats.ratio, "Ratio");
+  });
+
+  u64 next = 0;
+  u64 events = 0;
+  auto replay = [&](u64 requests) {
+    for (u64 n = 0; n < requests; ++n, ++next) {
+      const SimTime t = static_cast<SimTime>(next) * 50 * kMicrosecond;
+      observer.PumpTelemetry(t);
+      events += RecordFin2Request(trace, next, t);
+      const bool write = next % 5 == 0;
+      (write ? write_lat : read_lat)
+          ->Observe(static_cast<double>(next % 400));
+      if (write) {
+        ++stats.writes;
+        ++stats.by_codec[next % (codec::kMaxCodecId + 1)];
+      } else {
+        ++stats.reads;
+      }
+      if (next % 3 == 0) ++stats.skipped;
+      stats.ratio = 1.0 + static_cast<double>(next % 100) / 100.0;
+      breaker->Set(0.0);
+    }
+  };
+
+  // Warm-up: every string interned, every lane ring and column created.
+  replay(5000);
+  ASSERT_GT(observer.sampler()->windows_completed(), 100u);
+
+  const u64 events0 = events;
+  const u64 windows0 = observer.sampler()->windows_completed();
+  const unsigned long long before = AllocCount();
+  replay(30000);
+  const unsigned long long after = AllocCount();
+  const u64 recorded = events - events0;
+  const u64 windows = observer.sampler()->windows_completed() - windows0;
+
+  ASSERT_GE(recorded, 100000u);
+  ASSERT_GE(windows, 1000u);
+  EXPECT_TRUE(observer.flight_recorder()->bundles().empty());
+  EXPECT_EQ(trace->event_count(), events);
+  // Arena chunks and column-store growth only.
+  EXPECT_LE(after - before, recorded / 1000 + windows / 100)
+      << (after - before) << " allocations over " << recorded
+      << " events and " << windows << " windows";
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <limits>
+#include <random>
 
 namespace edc::obs {
 namespace {
@@ -184,6 +188,58 @@ TEST(FormatDoubleTest, IntegersPrintWithoutFraction) {
   EXPECT_EQ(FormatDouble(2.5), "2.5");
   // Round-trip property for a non-trivial fraction.
   EXPECT_EQ(std::stod(FormatDouble(0.1)), 0.1);
+}
+
+// FormatDouble's definition, spelled with snprintf.
+std::string PrintfFormatDouble(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
+  double integral;
+  char buf[64];
+  if (std::modf(v, &integral) == 0.0 && std::abs(v) < 1e15) {
+    std::snprintf(buf, sizeof buf, "%.0f", v);
+  } else {
+    std::snprintf(buf, sizeof buf, "%.17g", v);
+  }
+  return buf;
+}
+
+TEST(FormatDoubleTest, MatchesPrintfOnEdgesAndRandomBitPatterns) {
+  u64 checked = 0;
+  u64 mismatches = 0;
+  auto check = [&](double v) {
+    ++checked;
+    const std::string got = FormatDouble(v);
+    const std::string want = PrintfFormatDouble(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "FormatDouble(" << want << ") = " << got;
+    }
+  };
+  using L = std::numeric_limits<double>;
+  for (double v :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 0.5, 2.5, 1e15, -1e15, 1e15 - 1,
+        1e15 + 1, -(1e15 - 1), -(1e15 + 1), 1e15 - 0.5, 1e16, 1e17,
+        123456789012345678.0, 9007199254740992.0, 1e-5, 1e-4, 1e-300,
+        L::denorm_min(), -L::denorm_min(), L::min(), -L::min(),
+        L::min() / 3, L::max(), L::lowest(), L::epsilon(), L::infinity(),
+        -L::infinity(), L::quiet_NaN()}) {
+    check(v);
+  }
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 1000000; ++i) {
+    const u64 bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    check(v);
+  }
+  // Integers and short decimals: the values exports mostly hold, and
+  // rare among random bit patterns.
+  for (int i = 0; i < 200000; ++i) {
+    const double n = static_cast<double>(rng() % 4000000000000000ULL);
+    check(n - 2e15);
+    check((n - 2e15) / 1000.0);
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << checked;
 }
 
 TEST(JsonEscapeTest, EscapesControlAndQuotes) {

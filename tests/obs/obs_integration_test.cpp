@@ -273,9 +273,9 @@ TEST(ObsIntegration, SamplerRetentionBoundsMemoryWithoutChangingTail) {
   const auto* f_series = sf->Find("edc_host_writes_total");
   ASSERT_NE(b_series, nullptr);
   ASSERT_NE(f_series, nullptr);
-  std::size_t offset = f_series->values.size() - b_series->values.size();
-  for (std::size_t i = 0; i < b_series->values.size(); ++i) {
-    EXPECT_DOUBLE_EQ(b_series->values[i], f_series->values[offset + i])
+  std::size_t offset = f_series->values().size() - b_series->values().size();
+  for (std::size_t i = 0; i < b_series->values().size(); ++i) {
+    EXPECT_DOUBLE_EQ(b_series->values()[i], f_series->values()[offset + i])
         << "window " << i;
   }
 }

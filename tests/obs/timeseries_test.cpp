@@ -44,10 +44,10 @@ TEST(TimeSeries, CounterDeltasAndLevels) {
   const auto* series = s.Find("edc_ops_total");
   ASSERT_NE(series, nullptr);
   EXPECT_TRUE(series->counter);
-  ASSERT_EQ(series->values.size(), 3u);
-  EXPECT_DOUBLE_EQ(series->values[0], 3);
-  EXPECT_DOUBLE_EQ(series->values[1], 4);
-  EXPECT_DOUBLE_EQ(series->values[2], 0);
+  ASSERT_EQ(series->values().size(), 3u);
+  EXPECT_DOUBLE_EQ(series->values()[0], 3);
+  EXPECT_DOUBLE_EQ(series->values()[1], 4);
+  EXPECT_DOUBLE_EQ(series->values()[2], 0);
   // LevelAt reconstructs the cumulative value at each window boundary.
   EXPECT_DOUBLE_EQ(series->LevelAt(0), 3);
   EXPECT_DOUBLE_EQ(series->LevelAt(1), 7);
@@ -70,10 +70,10 @@ TEST(TimeSeries, GaugeHoldsBoundaryValue) {
 
   const auto* series = s.Find("edc_depth");
   ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->values.size(), 3u);
-  EXPECT_DOUBLE_EQ(series->values[0], 2.5);
-  EXPECT_DOUBLE_EQ(series->values[1], 9.0);
-  EXPECT_DOUBLE_EQ(series->values[2], 9.0);
+  ASSERT_EQ(series->values().size(), 3u);
+  EXPECT_DOUBLE_EQ(series->values()[0], 2.5);
+  EXPECT_DOUBLE_EQ(series->values()[1], 9.0);
+  EXPECT_DOUBLE_EQ(series->values()[2], 9.0);
   EXPECT_DOUBLE_EQ(series->DeltaAt(1), 6.5);
   EXPECT_DOUBLE_EQ(series->DeltaAt(2), 0.0);
 }
@@ -97,17 +97,17 @@ TEST(TimeSeries, HistogramDerivesCountSumAndQuantiles) {
   ASSERT_NE(sum, nullptr);
   ASSERT_NE(p50, nullptr);
   ASSERT_NE(p99, nullptr);
-  EXPECT_DOUBLE_EQ(count->values[0], 10);
-  EXPECT_DOUBLE_EQ(sum->values[0], 8 * 5.0 + 2 * 50.0);
+  EXPECT_DOUBLE_EQ(count->values()[0], 10);
+  EXPECT_DOUBLE_EQ(sum->values()[0], 8 * 5.0 + 2 * 50.0);
   // p50 falls inside the first bucket (interpolated in [0, 10]);
   // p99 inside the second ([10, 100]).
-  EXPECT_GT(p50->values[0], 0.0);
-  EXPECT_LE(p50->values[0], 10.0);
-  EXPECT_GT(p99->values[0], 10.0);
-  EXPECT_LE(p99->values[0], 100.0);
+  EXPECT_GT(p50->values()[0], 0.0);
+  EXPECT_LE(p50->values()[0], 10.0);
+  EXPECT_GT(p99->values()[0], 10.0);
+  EXPECT_LE(p99->values()[0], 100.0);
   // The empty window has no observations: NaN quantiles, zero deltas.
-  EXPECT_DOUBLE_EQ(count->values[1], 0);
-  EXPECT_TRUE(std::isnan(p99->values[1]));
+  EXPECT_DOUBLE_EQ(count->values()[1], 0);
+  EXPECT_TRUE(std::isnan(p99->values()[1]));
 }
 
 TEST(TimeSeries, QuantileOfInfBucketClampsToLastFiniteBound) {
@@ -118,7 +118,7 @@ TEST(TimeSeries, QuantileOfInfBucketClampsToLastFiniteBound) {
   s.AdvanceTo(kMillisecond);
   const auto* p99 = s.Find("lat:p99");
   ASSERT_NE(p99, nullptr);
-  EXPECT_DOUBLE_EQ(p99->values[0], 100.0);
+  EXPECT_DOUBLE_EQ(p99->values()[0], 100.0);
 }
 
 TEST(TimeSeries, RetentionRingDropsOldWindows) {
@@ -135,9 +135,9 @@ TEST(TimeSeries, RetentionRingDropsOldWindows) {
   EXPECT_EQ(s.first_retained(), 7u);
   const auto* series = s.Find("ops");
   ASSERT_NE(series, nullptr);
-  ASSERT_EQ(series->values.size(), 3u);
-  EXPECT_DOUBLE_EQ(series->values[0], 8);   // window 7 (0-based)
-  EXPECT_DOUBLE_EQ(series->values[2], 10);  // window 9
+  ASSERT_EQ(series->values().size(), 3u);
+  EXPECT_DOUBLE_EQ(series->values()[0], 8);   // window 7 (0-based)
+  EXPECT_DOUBLE_EQ(series->values()[2], 10);  // window 9
   // Levels survive trimming: cumulative is tracked separately.
   EXPECT_DOUBLE_EQ(series->LevelAt(2), 55);
   EXPECT_DOUBLE_EQ(series->LevelAt(0), 55 - 9 - 10);
@@ -154,8 +154,8 @@ TEST(TimeSeries, ForceWindowCapturesTheTail) {
   EXPECT_EQ(s.windows_completed(), 2u);
   EXPECT_EQ(s.WindowEnd(1), 13 * kMillisecond);
   const auto* series = s.Find("ops");
-  ASSERT_EQ(series->values.size(), 2u);
-  EXPECT_DOUBLE_EQ(series->values[1], 2);
+  ASSERT_EQ(series->values().size(), 2u);
+  EXPECT_DOUBLE_EQ(series->values()[1], 2);
   // Finalized: nothing moves afterwards.
   EXPECT_EQ(s.AdvanceTo(100 * kMillisecond), 0u);
   EXPECT_FALSE(s.ForceWindow(200 * kMillisecond));

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
+#include <vector>
+
 namespace edc::obs {
 namespace {
 
@@ -109,6 +113,29 @@ TEST(TraceRecorderTest, JsonIsByteIdenticalAcrossIdenticalRecordings) {
     return rec.ToJson();
   };
   EXPECT_EQ(build(), build());
+}
+
+TEST(TraceRecorderTest, RecordsFromManyThreads) {
+  // The intern table and the arenas sit behind the recorder's lock: each
+  // thread records events whose string arg is its own reused buffer.
+  TraceRecorder rec;
+  constexpr int kThreads = 4;
+  constexpr int kEvents = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&rec, t] {
+      std::string label;
+      for (int i = 0; i < kEvents; ++i) {
+        label = std::to_string(t * 10 + i % 7);
+        rec.Instant("worker.step", "host", static_cast<u32>(t),
+                    static_cast<SimTime>(i), {{"label", label}, {"i", i}});
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(rec.event_count(), static_cast<std::size_t>(kThreads * kEvents));
+  const std::string json = rec.ToJson();
+  EXPECT_NE(json.find("\"label\":\"36\""), std::string::npos);
 }
 
 TEST(TraceRecorderTest, EmptyRecorderStillValidDocument) {

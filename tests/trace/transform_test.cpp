@@ -9,7 +9,7 @@ namespace {
 
 Trace MakeTrace() {
   Trace t;
-  t.name = "t";
+  t.name = std::string("t");
   for (int i = 0; i < 10; ++i) {
     TraceRecord r;
     r.timestamp = i * kSecond;
